@@ -1,7 +1,8 @@
 """Flat key=value run configuration.
 
 The format is deliberately parser-free: one "dotted.key = value" pair per
-line, "#" starts a comment.  Recognized keys (defaults in brackets):
+line, "#" starts a comment.  A key not listed here is an error.  Recognized
+keys (defaults in brackets):
 
     model.kind              dse | rds1 | rds2 | rds3
     model.beta  model.rho   reals
@@ -18,6 +19,7 @@ line, "#" starts a comment.  Recognized keys (defaults in brackets):
     step.t_end              final time                    [1.0]
     step.amp_max            blow-up amplitude threshold   [1e6 * initial max|v|]
     step.stepper            strang | ifrk4                [strang]
+                            (both honour step.adaptive and output.snapshot_every)
 
     ic.kind                 gaussian | file               [gaussian]
     ic.amplitude ic.width   Gaussian parameters           [1.0, 1.0]
@@ -28,8 +30,6 @@ line, "#" starts a comment.  Recognized keys (defaults in brackets):
     output.dir              output directory              [required for runs]
     output.record_every     record cadence in steps       [10]
     output.snapshot_every   snapshot cadence in steps, 0=off  [0]
-
-    run.seed                RNG seed for randomized test fields  [0]
 
     ground.gamma ground.tol ground.max_iter ground.continuation_steps
                             Petviashvili settings         [1.5, 1e-10, 2000, 8]
@@ -67,12 +67,13 @@ def parse_kv_file(path) -> dict:
     return pairs
 
 
-def _get(pairs, key, default=None, cast=float):
+def _take(pairs, key, default=None, cast=float):
+    """Remove key from pairs and return its value cast, or the default."""
     if key not in pairs:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
-    raw = pairs[key]
+    raw = pairs.pop(key)
     try:
         if cast is bool:
             low = raw.lower()
@@ -119,8 +120,6 @@ class RunConfig:
     record_every: int = 10
     snapshot_every: int = 0
 
-    seed: int = 0
-
     ground_gamma: float = 1.5
     ground_tol: float = 1e-10
     ground_max_iter: int = 2000
@@ -138,7 +137,7 @@ class RunConfig:
 def load_config(path) -> RunConfig:
     pairs = parse_kv_file(path)
 
-    kind_raw = _get(pairs, "model.kind", cast=str).lower()
+    kind_raw = _take(pairs, "model.kind", cast=str).lower()
     try:
         kind = ModelKind(kind_raw)
     except ValueError:
@@ -146,53 +145,55 @@ def load_config(path) -> RunConfig:
 
     cfg = RunConfig(
         kind=kind,
-        beta=_get(pairs, "model.beta"),
-        rho=_get(pairs, "model.rho"),
-        nu=_get(pairs, "model.nu"),
-        alpha=_get(pairs, "model.alpha", 0.0),
-        nx=_get(pairs, "grid.nx", 256, int),
-        ny=_get(pairs, "grid.ny", 256, int),
-        lx=_get(pairs, "grid.lx", 64.0),
-        ly=_get(pairs, "grid.ly", 64.0),
-        dt=_get(pairs, "step.dt", 1e-3),
-        dt_min=_get(pairs, "step.dt_min", 1e-12),
-        dt_max=_get(pairs, "step.dt_max", 1e-2),
-        adaptive=_get(pairs, "step.adaptive", True, bool),
-        cfl_const=_get(pairs, "step.cfl_const", 0.1),
-        t_end=_get(pairs, "step.t_end", 1.0),
-        amp_max=_get(pairs, "step.amp_max") if "step.amp_max" in pairs else None,
-        stepper=_get(pairs, "step.stepper", "strang", str).lower(),
-        ic_kind=_get(pairs, "ic.kind", "gaussian", str).lower(),
-        ic_amplitude=_get(pairs, "ic.amplitude", 1.0),
-        ic_width=_get(pairs, "ic.width", 1.0),
-        ic_center=(_get(pairs, "ic.center_x", 0.0), _get(pairs, "ic.center_y", 0.0)),
-        ic_chirp=_get(pairs, "ic.chirp", 0.0),
-        ic_path=pairs.get("ic.path"),
-        output_dir=pairs.get("output.dir"),
-        record_every=_get(pairs, "output.record_every", 10, int),
-        snapshot_every=_get(pairs, "output.snapshot_every", 0, int),
-        seed=_get(pairs, "run.seed", 0, int),
-        ground_gamma=_get(pairs, "ground.gamma", 1.5),
-        ground_tol=_get(pairs, "ground.tol", 1e-10),
-        ground_max_iter=_get(pairs, "ground.max_iter", 2000, int),
-        ground_continuation_steps=_get(pairs, "ground.continuation_steps", 8, int),
-        reduced_l0=_get(pairs, "reduced.l0", 1.0),
-        reduced_lt0=_get(pairs, "reduced.lt0", -1.0),
-        reduced_b0=_get(pairs, "reduced.b0") if "reduced.b0" in pairs else None,
-        reduced_t_end=_get(pairs, "reduced.t_end") if "reduced.t_end" in pairs else None,
+        beta=_take(pairs, "model.beta"),
+        rho=_take(pairs, "model.rho"),
+        nu=_take(pairs, "model.nu"),
+        alpha=_take(pairs, "model.alpha", 0.0),
+        nx=_take(pairs, "grid.nx", 256, int),
+        ny=_take(pairs, "grid.ny", 256, int),
+        lx=_take(pairs, "grid.lx", 64.0),
+        ly=_take(pairs, "grid.ly", 64.0),
+        dt=_take(pairs, "step.dt", 1e-3),
+        dt_min=_take(pairs, "step.dt_min", 1e-12),
+        dt_max=_take(pairs, "step.dt_max", 1e-2),
+        adaptive=_take(pairs, "step.adaptive", True, bool),
+        cfl_const=_take(pairs, "step.cfl_const", 0.1),
+        t_end=_take(pairs, "step.t_end", 1.0),
+        amp_max=_take(pairs, "step.amp_max") if "step.amp_max" in pairs else None,
+        stepper=_take(pairs, "step.stepper", "strang", str).lower(),
+        ic_kind=_take(pairs, "ic.kind", "gaussian", str).lower(),
+        ic_amplitude=_take(pairs, "ic.amplitude", 1.0),
+        ic_width=_take(pairs, "ic.width", 1.0),
+        ic_center=(_take(pairs, "ic.center_x", 0.0), _take(pairs, "ic.center_y", 0.0)),
+        ic_chirp=_take(pairs, "ic.chirp", 0.0),
+        ic_path=pairs.pop("ic.path", None),
+        output_dir=pairs.pop("output.dir", None),
+        record_every=_take(pairs, "output.record_every", 10, int),
+        snapshot_every=_take(pairs, "output.snapshot_every", 0, int),
+        ground_gamma=_take(pairs, "ground.gamma", 1.5),
+        ground_tol=_take(pairs, "ground.tol", 1e-10),
+        ground_max_iter=_take(pairs, "ground.max_iter", 2000, int),
+        ground_continuation_steps=_take(pairs, "ground.continuation_steps", 8, int),
+        reduced_l0=_take(pairs, "reduced.l0", 1.0),
+        reduced_lt0=_take(pairs, "reduced.lt0", -1.0),
+        reduced_b0=_take(pairs, "reduced.b0") if "reduced.b0" in pairs else None,
+        reduced_t_end=_take(pairs, "reduced.t_end") if "reduced.t_end" in pairs else None,
     )
     if any(k in pairs for k in ("ground.nx", "ground.ny", "ground.lx", "ground.ly")):
         cfg.ground_grid = (
-            _get(pairs, "ground.nx", cfg.nx, int),
-            _get(pairs, "ground.ny", cfg.ny, int),
-            _get(pairs, "ground.lx", cfg.lx),
-            _get(pairs, "ground.ly", cfg.ly),
+            _take(pairs, "ground.nx", cfg.nx, int),
+            _take(pairs, "ground.ny", cfg.ny, int),
+            _take(pairs, "ground.lx", cfg.lx),
+            _take(pairs, "ground.ly", cfg.ly),
         )
     if "sweep.alphas" in pairs:
+        raw = pairs.pop("sweep.alphas")
         try:
-            cfg.sweep_alphas = [float(a) for a in pairs["sweep.alphas"].split(",") if a.strip()]
+            cfg.sweep_alphas = [float(a) for a in raw.split(",") if a.strip()]
         except ValueError:
-            raise ConfigError(f"sweep.alphas: cannot parse {pairs['sweep.alphas']!r}")
+            raise ConfigError(f"sweep.alphas: cannot parse {raw!r}")
+    if pairs:
+        raise ConfigError("unknown config key " + ", ".join(repr(k) for k in sorted(pairs)))
 
     _validate(cfg)
     return cfg

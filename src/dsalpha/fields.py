@@ -73,10 +73,6 @@ def real_field(grid, values, space=PHYSICAL):
     return Field(grid, np.asarray(values, dtype=np.float64), space)
 
 
-def zeros_like(field):
-    return Field(field.grid, np.zeros_like(field.values), field.space)
-
-
 def check_same_grid(*fields):
     g = fields[0].grid
     for f in fields[1:]:

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-_TWO_THIRDS_CACHE_KEYS = ("e_xx", "e_xy", "helmholtz")
-
 
 class Grid2D:
     """Uniform periodic grid with cached wavenumber tables.

@@ -14,20 +14,15 @@ from typing import List, Optional
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 from .fields import Field, complex_field
 from .grid import Grid2D
 from .ground_state import GroundState, PetviashviliConfig, solve_ground_state
 from .models import ModelSpec, ModelKind
-from .modulation import (
-    ModulationConstants,
-    ReducedState,
-    compute_constants,
-    integrate_reduced,
-)
+from .modulation import ReducedState, compute_constants, integrate_reduced
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import fft2, grad_norm_spectrum
-from .stepping import DiagnosticsRecord, RunOutcome, StepControl, integrate, ifrk4_step
+from .stepping import DiagnosticsRecord, RunOutcome, StepControl, integrate
 
 CSV_HEADER = "t,dt,mass,hamiltonian,grad_norm,max_amp,L_est"
 
@@ -155,18 +150,16 @@ def run_simulation(
         write_snapshot(path, field, t0 + t, spec)
         snapshot_paths.append(path)
 
-    if cfg.stepper == "ifrk4":
-        outcome = _integrate_ifrk4(v0, spec, control, cfg.record_every, grad_ref)
-    else:
-        outcome = integrate(
-            v0,
-            spec,
-            control,
-            record_every=cfg.record_every,
-            grad_ref=grad_ref,
-            snapshot_every=cfg.snapshot_every,
-            snapshot_writer=writer if cfg.snapshot_every > 0 else None,
-        )
+    outcome = integrate(
+        v0,
+        spec,
+        control,
+        record_every=cfg.record_every,
+        grad_ref=grad_ref,
+        snapshot_every=cfg.snapshot_every,
+        snapshot_writer=writer if cfg.snapshot_every > 0 else None,
+        stepper=cfg.stepper,
+    )
 
     # shift record times by the resume offset so files compose
     if t0 != 0.0:
@@ -190,47 +183,6 @@ def run_simulation(
         final_snapshot_path=final_path,
         snapshot_paths=snapshot_paths,
     )
-
-
-def _integrate_ifrk4(v0, spec, control, record_every, grad_ref):
-    """Fixed-step IFRK4 driver used for cross-validation runs."""
-    from .stepping import RunStatus, _record
-
-    g = v0.grid
-    values = np.array(v0.values, dtype=np.complex128, copy=True)
-    if grad_ref is None:
-        grad_ref = 1.0
-    t = 0.0
-    steps = 0
-    m0 = np.sum((values * values.conj()).real) * g.cell_area
-    amp_max = control.amp_max if control.amp_max is not None else 1e6 * max(
-        float(np.max(np.abs(values))), 1e-300
-    )
-    records = [_record(g, spec, t, control.dt, values, grad_ref)]
-    status = RunStatus.REACHED_T_END
-    drift = 0.0
-    while t < control.t_end:
-        dt = min(control.dt, control.t_end - t)
-        state = ifrk4_step(Field(g, values, "physical"), spec, dt)
-        values = state.values
-        t = control.t_end if t + dt >= control.t_end else t + dt
-        steps += 1
-        if not np.isfinite(values).all():
-            status = RunStatus.BLOW_UP_DETECTED
-            break
-        m = np.sum((values * values.conj()).real) * g.cell_area
-        drift = max(drift, abs(m - m0) / m0 if m0 > 0 else 0.0)
-        if float(np.max(np.abs(values))) > amp_max:
-            status = RunStatus.BLOW_UP_DETECTED
-            records.append(_record(g, spec, t, dt, values, grad_ref))
-            break
-        if steps % record_every == 0 or t >= control.t_end:
-            records.append(_record(g, spec, t, dt, values, grad_ref))
-    if records[-1].t != t and status is not RunStatus.BLOW_UP_DETECTED:
-        records.append(_record(g, spec, t, control.dt, values, grad_ref))
-    out = RunOutcome(status=status, t_final=t, records=records, max_mass_drift=drift, steps=steps)
-    out.final_state = Field(g, values, "physical")
-    return out
 
 
 SWEEP_HEADER = "alpha,L_min_pde,L_min_reduced,C1,C2"

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import ParameterError
 from .fields import PHYSICAL, Field, real_field
 from .grid import Grid2D
 from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2
@@ -112,48 +112,54 @@ class AuxFields:
     vel_y: Field
 
 
-def _aux_arrays(v_values, grid: Grid2D, spec: ModelSpec):
-    """Array-level core of compute_aux; returns physical-space real arrays."""
-    vh = dealias_spectrum(fft2(v_values), grid)
-    vd = ifft2(vh)
+def _dealiased_intensity(v_values, grid: Grid2D, spec: ModelSpec):
+    """Dealiased intensity I = |v_d|^2 with the spectra of I and of B(I).
+
+    The B(I) spectrum is None for DSE, which smooths nothing; every other
+    kind needs it for u_eff, pot or the mean flow.
+    """
+    vd = ifft2(dealias_spectrum(fft2(v_values), grid))
     intensity = (vd * vd.conj()).real
     ih = dealias_spectrum(fft2(intensity), grid)
+    uh = None if spec.kind is ModelKind.DSE else grid.helmholtz_symbol(spec.alpha) * ih
+    return intensity, ih, uh
 
+
+def _ueff(intensity, uh, spec: ModelSpec):
+    return ifft2(uh).real if spec.kind in _SMOOTH_CUBIC else intensity
+
+
+def _pot(ih, uh, grid: Grid2D, spec: ModelSpec):
     e_xx = grid.e_symbol(spec.nu, "xx")
-    e_xy = grid.e_symbol(spec.nu, "xy")
-
-    u = None
-    if spec.kind in _SMOOTH_CUBIC or spec.kind in _SMOOTH_NONLOCAL:
-        bsym = grid.helmholtz_symbol(spec.alpha)
-        uh = bsym * ih
-        u = ifft2(uh).real
-    ueff = u if spec.kind in _SMOOTH_CUBIC else intensity
-
     if spec.kind in _SMOOTH_NONLOCAL:
-        # pot = B(E(B(|v|^2))), velocities from psi with Delta_nu psi = u_x
-        pot = ifft2(bsym * e_xx * uh).real
-        vel_x = ifft2(e_xx * uh).real
-        vel_y = ifft2(e_xy * uh).real
-    else:
-        # pot = E(|v|^2) = phi_x
-        vel_x = ifft2(e_xx * ih).real
-        vel_y = ifft2(e_xy * ih).real
-        pot = vel_x
+        # pot = B(E(B(|v|^2)))
+        return ifft2(grid.helmholtz_symbol(spec.alpha) * e_xx * uh).real
+    # pot = E(|v|^2) = phi_x
+    return ifft2(e_xx * ih).real
 
-    return intensity, u, ueff, pot, vel_x, vel_y
+
+def _mean_flow(ih, uh, grid: Grid2D, spec: ModelSpec):
+    """(phi_x, phi_y) from |v|^2, or (psi_x, psi_y) with Delta_nu psi = u_x."""
+    fh = uh if spec.kind in _SMOOTH_NONLOCAL else ih
+    return (
+        ifft2(grid.e_symbol(spec.nu, "xx") * fh).real,
+        ifft2(grid.e_symbol(spec.nu, "xy") * fh).real,
+    )
 
 
 def compute_aux(v: Field, spec: ModelSpec) -> AuxFields:
     """Solve the auxiliary (elliptic) subsystem for a physical-space v."""
     v.require_space(PHYSICAL)
     g = v.grid
-    intensity, u, ueff, pot, vel_x, vel_y = _aux_arrays(v.values, g, spec)
+    intensity, ih, uh = _dealiased_intensity(v.values, g, spec)
+    u = None if uh is None else ifft2(uh).real
+    vel_x, vel_y = _mean_flow(ih, uh, g, spec)
     wrap = lambda a: real_field(g, a)
     return AuxFields(
         intensity=wrap(intensity),
         u=None if u is None else wrap(u),
-        ueff=wrap(ueff),
-        pot=wrap(pot),
+        ueff=wrap(u if spec.kind in _SMOOTH_CUBIC else intensity),
+        pot=wrap(_pot(ih, uh, g, spec)),
         vel_x=wrap(vel_x),
         vel_y=wrap(vel_y),
     )
@@ -161,8 +167,8 @@ def compute_aux(v: Field, spec: ModelSpec) -> AuxFields:
 
 def potential_values(v_values, grid: Grid2D, spec: ModelSpec):
     """Real potential P with F(v) = P*v; used by the phase substep."""
-    _, _, ueff, pot, _, _ = _aux_arrays(v_values, grid, spec)
-    return spec.beta * ueff - spec.rho * pot
+    intensity, ih, uh = _dealiased_intensity(v_values, grid, spec)
+    return spec.beta * _ueff(intensity, uh, spec) - spec.rho * _pot(ih, uh, grid, spec)
 
 
 def nonlinearity(v: Field, spec: ModelSpec) -> Field:
@@ -190,12 +196,10 @@ def hamiltonian(v: Field, spec: ModelSpec) -> float:
     g = v.grid
     da = g.cell_area
     gradsq = grad_norm_spectrum(fft2(v.values), g) ** 2
-    intensity, _, ueff, _, vel_x, vel_y = _aux_arrays(v.values, g, spec)
+    intensity, ih, uh = _dealiased_intensity(v.values, g, spec)
+    ueff = _ueff(intensity, uh, spec)
+    vel_x, vel_y = _mean_flow(ih, uh, g, spec)
     quartic = np.sum(ueff * intensity) * da
     flow = np.sum(vel_x**2 + spec.nu * vel_y**2) * da
     return float(gradsq - 0.5 * spec.beta * quartic + 0.5 * spec.rho * flow)
 
-
-def check_grid(v: Field, grid: Grid2D):
-    if v.grid != grid:
-        raise GridMismatchError("field grid does not match the model grid")

@@ -40,7 +40,7 @@ from .errors import (
     SymmetryViolationError,
 )
 from .fields import Field, real_field
-from .ground_state import GroundState
+from .ground_state import GroundState, symmetrize_even
 from .models import ModelKind, ModelSpec
 from .spectral import fft2, ifft2, l2_norm_values
 
@@ -72,21 +72,20 @@ class ReducedState:
     tau: float
     b: float
     eps: float
-    p: float = 1.0
 
     @property
     def a(self) -> float:
         return -self.L_t * self.L
 
     @classmethod
-    def initial(cls, L0: float, Lt0: float, alpha: float, b0: Optional[float] = None,
-                p: float = 1.0) -> "ReducedState":
+    def initial(cls, L0: float, Lt0: float, alpha: float,
+                b0: Optional[float] = None) -> "ReducedState":
         """Initial reduced data; b0 defaults to a^2 (zero initial a_tau)."""
         if L0 <= 0:
             raise ParameterError("initial scale L0 must be positive")
         if b0 is None:
             b0 = (L0 * Lt0) ** 2
-        return cls(t=0.0, L=L0, L_t=Lt0, tau=0.0, b=b0, eps=(alpha / L0) ** 2, p=p)
+        return cls(t=0.0, L=L0, L_t=Lt0, tau=0.0, b=b0, eps=(alpha / L0) ** 2)
 
 
 @dataclass
@@ -144,12 +143,6 @@ def compute_constants(
 # linearized profile corrections
 # ---------------------------------------------------------------------------
 
-def _even_project(a):
-    a = 0.5 * (a + np.roll(a[::-1, :], 1, axis=0))
-    a = 0.5 * (a + np.roll(a[:, ::-1], 1, axis=1))
-    return a
-
-
 def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> LinearizedSolution:
     """Solve the GY or HZ correction system on the even-even subspace."""
     if mode not in ("GY", "HZ"):
@@ -171,7 +164,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         lap_X = ifft2(-k2 * fft2(X)).real
         e_lap_f = ifft2(e_xx * fft2(lap_f)).real
         rhs = -beta * S * lap_f + rho * S * lap_X + rho * S * e_lap_f
-    rhs = _even_project(rhs)
+    rhs = symmetrize_even(rhs)
     rhs_norm = l2_norm_values(rhs, g)
 
     coeff = 3.0 * beta * f - rho * X
@@ -190,7 +183,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     A = LinearOperator((n, n), matvec=apply_a, dtype=np.float64)
     P = LinearOperator((n, n), matvec=apply_pre, dtype=np.float64)
     sol, _ = minres(A, rhs.ravel(), M=P, rtol=1e-12, maxiter=40 * int(math.isqrt(n)) + 20000)
-    first = _even_project(sol.reshape(g.nx, g.ny))
+    first = symmetrize_even(sol.reshape(g.nx, g.ny))
 
     residual = l2_norm_values(apply_a(first.ravel()).reshape(g.nx, g.ny) - rhs, g)
     rel_res = residual / rhs_norm if rhs_norm > 0 else residual

@@ -106,11 +106,3 @@ def grad_norm(f: Field) -> float:
         return grad_norm_spectrum(f.values, f.grid)
     return grad_norm_spectrum(fft2(f.values), f.grid)
 
-
-def laplacian(f: Field) -> Field:
-    return _apply_multiplier(f, -f.grid.k2)
-
-
-def derivative(f: Field, axis: int, order: int = 1) -> Field:
-    kg = f.grid.kxg if axis == 0 else f.grid.kyg
-    return _apply_multiplier(f, (1j * kg) ** order)

@@ -95,6 +95,20 @@ class TestRunSimulation:
         assert meta["alpha"] == cfg.alpha
         assert np.array_equal(field.values, arts.outcome.final_state.values)
 
+    def test_ifrk4_adaptive_with_snapshots(self, tmp_path):
+        # the initial dt_raw = cfl_const/max|v|^2 sits 2% above dt_max/2, so
+        # the focusing of max|v| (about 3% by t_end) drops the step a level
+        cfg = base_config(tmp_path, stepper="ifrk4", snapshot_every=10,
+                          cfl_const=1.02 * 1.5**2 * 1e-3, t_end=0.1)
+        arts = run_simulation(cfg)
+        outcome = arts.outcome
+        assert outcome.status is RunStatus.REACHED_T_END
+        assert len(arts.snapshot_paths) == 1 + outcome.steps // 10
+        assert all(os.path.exists(p) for p in arts.snapshot_paths)
+        # the first record carries the configured dt, the last may be truncated
+        levels = {r.dt for r in outcome.records[1:-1]}
+        assert levels == {cfg.dt_max / 2, cfg.dt_max / 4}
+
     def test_ic_from_file(self, tmp_path):
         cfg = base_config(tmp_path, output_dir=str(tmp_path / "one"), t_end=0.0)
         arts = run_simulation(cfg)
@@ -165,6 +179,12 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.kind = nosuch\nmodel.beta=1\nmodel.rho=1\nmodel.nu=1\n")
         assert cli_main(["simulate", str(cfg)]) == 2
+
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out") + "run.seed = 0\n")
+        assert cli_main(["simulate", str(cfg)]) == 2
+        assert "run.seed" in capsys.readouterr().err
 
     def test_fit_subcommand(self, tmp_path, capsys):
         ts = np.linspace(0.0, 0.999, 300)

@@ -8,12 +8,14 @@ from dsalpha import (
     ParameterError,
     complex_field,
     compute_aux,
+    grad_norm,
     hamiltonian,
     l2_norm,
     mass,
     nonlinearity,
 )
 from dsalpha.harness import gaussian_state
+from dsalpha.models import potential_values
 from conftest import random_complex
 
 ALL_KINDS = [ModelKind.DSE, ModelKind.RDS1, ModelKind.RDS2, ModelKind.RDS3]
@@ -63,6 +65,23 @@ class TestComputeAux:
         v = gaussian_state(grid_medium, 1.3, 1.5)
         aux = compute_aux(v, spec_for(ModelKind.RDS3))
         assert l2_norm(aux.pot) <= l2_norm(aux.intensity) + 1e-14
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_flow_and_hamiltonian_share_the_aux_pipeline(self, grid_medium, rng, kind):
+        # the phase substep and the monitored Hamiltonian must see exactly the
+        # fields compute_aux reports, bit for bit
+        g = grid_medium
+        spec = spec_for(kind, nu=1.3)
+        v = complex_field(g, random_complex(rng, g))
+        aux = compute_aux(v, spec)
+        p = potential_values(v.values, g, spec)
+        assert np.array_equal(p, spec.beta * aux.ueff.values - spec.rho * aux.pot.values)
+        da = g.cell_area
+        quartic = np.sum(aux.ueff.values * aux.intensity.values) * da
+        flow = np.sum(aux.vel_x.values**2 + spec.nu * aux.vel_y.values**2) * da
+        gradsq = grad_norm(v) ** 2
+        expected = float(gradsq - 0.5 * spec.beta * quartic + 0.5 * spec.rho * flow)
+        assert hamiltonian(v, spec) == expected
 
     def test_velocities_mean_free(self, grid_medium):
         v = gaussian_state(grid_medium, 1.0, 2.0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,27 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
+
+    @pytest.mark.parametrize("line", ["step.t_ned = 2.0", "run.seed = 0"])
+    def test_unknown_key_rejected(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG_TEXT + line + "\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_config(p)
+
+    def test_readme_example_loads(self, tmp_path):
+        # every key the README documents must be one load_config reads
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.split("#", 1)[0].strip()]
+        assert len(lines) > 30
+        lines = [f"output.dir = {tmp_path / 'out'}" if ln.startswith("output.dir") else ln
+                 for ln in lines]
+        p = tmp_path / "readme.cfg"
+        p.write_text("\n".join(lines) + "\n")
+        cfg = load_config(p)
+        assert cfg.output_dir == str(tmp_path / "out")
+        assert cfg.sweep_alphas == [0.05, 0.1, 0.2, 0.4]
 
     def test_sweep_alphas_parsed(self, tmp_path):
         p = tmp_path / "s.cfg"

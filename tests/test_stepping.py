@@ -105,6 +105,12 @@ class TestIntegrate:
         assert out.status is RunStatus.REACHED_T_END
         assert len(out.records) == 1 and out.records[0].t == 0.0
 
+    def test_unknown_stepper_rejected(self, grid_small):
+        v = complex_field(grid_small, np.ones((64, 64)))
+        spec = ModelSpec(ModelKind.DSE, 1.0, -1.0, 1.0)
+        with pytest.raises(ParameterError, match="stepper"):
+            integrate(v, spec, StepControl(t_end=0.0), stepper="rk4")
+
     def test_mass_conserved_to_roundoff(self):
         g = Grid2D(128, 128, 32.0, 32.0)
         spec = ModelSpec(ModelKind.RDS1, 1.0, 1.0, 1.0, 0.3)
