@@ -2,7 +2,8 @@
 
 Subcommands: simulate, ground-state, modulation, sweep, fit.  Exit code 0
 covers every scientific outcome (blow-up included); 2 flags configuration
-or input-format errors, 1 unexpected I/O failures.
+errors (an invalid value in any section, a resume under another model) or
+input-format errors, 1 unexpected I/O failures.
 """
 
 import argparse
@@ -19,10 +20,12 @@ from .harness import (
     format_float,
     ground_state_for,
     read_diagnostics_csv,
+    reduced_dynamics,
     run_simulation,
     sweep_alpha,
+    write_csv,
 )
-from .modulation import ReducedState, collapse_fit, compute_constants, integrate_reduced, solve_linearized
+from .modulation import collapse_fit, solve_linearized
 from .snapshots import write_snapshot
 
 
@@ -75,42 +78,23 @@ def _cmd_modulation(args):
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = build_spec(cfg)
     gs = ground_state_for(cfg)
-    reduced0 = ReducedState.initial(cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha, b0=cfg.reduced_b0)
-    consts = compute_constants(gs, spec, reduced0)
-
+    consts, traj = reduced_dynamics(cfg, gs)
     gy = solve_linearized(gs, spec, "GY")
     hz = solve_linearized(gs, spec, "HZ")
 
     const_path = os.path.join(cfg.output_dir, "constants.csv")
-    with open(const_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("C1,C2,C3,C4,S_mass,inner_SG,inner_SH,residual_GY,residual_HZ\n")
-        fh.write(
-            ",".join(
-                format_float(v)
-                for v in (
-                    consts.C1,
-                    consts.C2,
-                    consts.C3,
-                    consts.C4,
-                    consts.S_mass,
-                    gy.inner_with_S,
-                    hz.inner_with_S,
-                    gy.residual,
-                    hz.residual,
-                )
-            )
-            + "\n"
-        )
-
-    t_end = cfg.reduced_t_end if cfg.reduced_t_end is not None else cfg.t_end
-    traj = integrate_reduced(consts, cfg.alpha, cfg.reduced_l0, cfg.reduced_lt0, t_end)
+    write_csv(
+        const_path,
+        "C1,C2,C3,C4,S_mass,inner_SG,inner_SH,residual_GY,residual_HZ",
+        [(consts.C1, consts.C2, consts.C3, consts.C4, consts.S_mass,
+          gy.inner_with_S, hz.inner_with_S, gy.residual, hz.residual)],
+    )
     traj_path = os.path.join(cfg.output_dir, "reduced_trajectory.csv")
-    with open(traj_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,L,L_t,tau,b,eps\n")
-        for s in traj.states:
-            fh.write(
-                ",".join(format_float(v) for v in (s.t, s.L, s.L_t, s.tau, s.b, s.eps)) + "\n"
-            )
+    write_csv(
+        traj_path,
+        "t,L,L_t,tau,b,eps",
+        ((s.t, s.L, s.L_t, s.tau, s.b, s.eps) for s in traj.states),
+    )
     print(
         f"modulation: C1={format_float(consts.C1)} C2={format_float(consts.C2)} "
         f"L_min={format_float(traj.l_min)} q_drift={traj.q_drift:.3e} "
@@ -141,10 +125,7 @@ def _cmd_fit(args):
         f"rms={fit.fit_rms:.3e}"
     )
     out = args.output or (os.path.splitext(args.diagnostics)[0] + "_b_of_tau.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("tau,b\n")
-        for tau, b in zip(fit.tau, fit.b):
-            fh.write(f"{format_float(tau)},{format_float(b)}\n")
+    write_csv(out, "tau,b", zip(fit.tau, fit.b))
     print(f"b(tau) table -> {out}")
     return 0
 

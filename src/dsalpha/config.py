@@ -1,8 +1,9 @@
 """Flat key=value run configuration.
 
 The format is deliberately parser-free: one "dotted.key = value" pair per
-line, "#" starts a comment.  A key not listed here is an error.  Recognized
-keys (defaults in brackets):
+line, "#" starts a comment.  A key not listed here is an error, and so is
+an invalid value in any section: every setting is checked here, at load,
+by the object it configures.  Recognized keys (defaults in brackets):
 
     model.kind              dse | rds1 | rds2 | rds3
     model.beta  model.rho   reals
@@ -12,12 +13,13 @@ keys (defaults in brackets):
     grid.nx  grid.ny        even integers >= 8            [256, 256]
     grid.lx  grid.ly        positive reals                [64, 64]
 
-    step.dt                 initial/fixed step            [1e-3]
-    step.dt_min step.dt_max step bounds                   [1e-12, 1e-2]
-    step.adaptive           true | false                  [true]
-    step.cfl_const          phase-advance bound           [0.1]
-    step.t_end              final time                    [1.0]
-    step.amp_max            blow-up amplitude threshold   [1e6 * initial max|v|]
+    step.dt                 initial/fixed step
+    step.dt_min step.dt_max step bounds
+    step.adaptive           true | false
+    step.cfl_const          phase-advance bound
+    step.t_end              final time
+    step.amp_max            blow-up amplitude threshold
+                            (defaults: those of stepping.StepControl)
     step.stepper            strang | ifrk4                [strang]
                             (both honour step.adaptive and output.snapshot_every)
 
@@ -32,7 +34,8 @@ keys (defaults in brackets):
     output.snapshot_every   snapshot cadence in steps, 0=off  [0]
 
     ground.gamma ground.tol ground.max_iter ground.continuation_steps
-                            Petviashvili settings         [1.5, 1e-10, 2000, 8]
+                            Petviashvili settings
+                            (defaults: those of ground_state.PetviashviliConfig)
     ground.nx ground.ny ground.lx ground.ly
                             ground-state grid             [grid.* values]
 
@@ -47,8 +50,12 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .errors import ConfigError
-from .models import ModelKind
+from .errors import ConfigError, ParameterError
+from .grid import Grid2D
+from .ground_state import PetviashviliConfig
+from .models import ModelKind, ModelSpec
+from .modulation import ReducedState
+from .stepping import StepControl
 
 
 def parse_kv_file(path) -> dict:
@@ -67,24 +74,51 @@ def parse_kv_file(path) -> dict:
     return pairs
 
 
-def _take(pairs, key, default=None, cast=float):
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+_REQUIRED = object()
+
+# the config keys step.<field> and ground.<field>, with their casts
+_STEP_CASTS = {"dt": float, "dt_min": float, "dt_max": float, "adaptive": _bool,
+               "cfl_const": float, "t_end": float, "amp_max": float}
+_GROUND_CASTS = {"gamma": float, "tol": float, "max_iter": int, "continuation_steps": int}
+
+
+def _take(pairs, key, default=_REQUIRED, cast=float):
     """Remove key from pairs and return its value cast, or the default."""
     if key not in pairs:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         return default
     raw = pairs.pop(key)
     try:
-        if cast is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
+
+
+def _section(pairs, prefix, casts) -> dict:
+    """The keys prefix.<name> present in pairs, cast and keyed by name."""
+    return {
+        name: _take(pairs, f"{prefix}.{name}", cast=cast)
+        for name, cast in casts.items()
+        if f"{prefix}.{name}" in pairs
+    }
+
+
+def _build(section, factory, *args, **kwargs):
+    """factory(*args, **kwargs), its ParameterError reported as a ConfigError."""
+    try:
+        return factory(*args, **kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass
@@ -100,13 +134,7 @@ class RunConfig:
     lx: float = 64.0
     ly: float = 64.0
 
-    dt: float = 1e-3
-    dt_min: float = 1e-12
-    dt_max: float = 1e-2
-    adaptive: bool = True
-    cfl_const: float = 0.1
-    t_end: float = 1.0
-    amp_max: Optional[float] = None
+    control: StepControl = field(default_factory=StepControl)
     stepper: str = "strang"
 
     ic_kind: str = "gaussian"
@@ -120,10 +148,7 @@ class RunConfig:
     record_every: int = 10
     snapshot_every: int = 0
 
-    ground_gamma: float = 1.5
-    ground_tol: float = 1e-10
-    ground_max_iter: int = 2000
-    ground_continuation_steps: int = 8
+    petviashvili: PetviashviliConfig = field(default_factory=PetviashviliConfig)
     ground_grid: Optional[tuple] = None  # (nx, ny, lx, ly); defaults to run grid
 
     reduced_l0: float = 1.0
@@ -153,31 +178,24 @@ def load_config(path) -> RunConfig:
         ny=_take(pairs, "grid.ny", 256, int),
         lx=_take(pairs, "grid.lx", 64.0),
         ly=_take(pairs, "grid.ly", 64.0),
-        dt=_take(pairs, "step.dt", 1e-3),
-        dt_min=_take(pairs, "step.dt_min", 1e-12),
-        dt_max=_take(pairs, "step.dt_max", 1e-2),
-        adaptive=_take(pairs, "step.adaptive", True, bool),
-        cfl_const=_take(pairs, "step.cfl_const", 0.1),
-        t_end=_take(pairs, "step.t_end", 1.0),
-        amp_max=_take(pairs, "step.amp_max") if "step.amp_max" in pairs else None,
+        control=_build("step", StepControl, **_section(pairs, "step", _STEP_CASTS)),
         stepper=_take(pairs, "step.stepper", "strang", str).lower(),
         ic_kind=_take(pairs, "ic.kind", "gaussian", str).lower(),
         ic_amplitude=_take(pairs, "ic.amplitude", 1.0),
         ic_width=_take(pairs, "ic.width", 1.0),
         ic_center=(_take(pairs, "ic.center_x", 0.0), _take(pairs, "ic.center_y", 0.0)),
         ic_chirp=_take(pairs, "ic.chirp", 0.0),
-        ic_path=pairs.pop("ic.path", None),
-        output_dir=pairs.pop("output.dir", None),
+        ic_path=_take(pairs, "ic.path", None, str),
+        output_dir=_take(pairs, "output.dir", None, str),
         record_every=_take(pairs, "output.record_every", 10, int),
         snapshot_every=_take(pairs, "output.snapshot_every", 0, int),
-        ground_gamma=_take(pairs, "ground.gamma", 1.5),
-        ground_tol=_take(pairs, "ground.tol", 1e-10),
-        ground_max_iter=_take(pairs, "ground.max_iter", 2000, int),
-        ground_continuation_steps=_take(pairs, "ground.continuation_steps", 8, int),
+        petviashvili=_build(
+            "ground", PetviashviliConfig, **_section(pairs, "ground", _GROUND_CASTS)
+        ),
         reduced_l0=_take(pairs, "reduced.l0", 1.0),
         reduced_lt0=_take(pairs, "reduced.lt0", -1.0),
-        reduced_b0=_take(pairs, "reduced.b0") if "reduced.b0" in pairs else None,
-        reduced_t_end=_take(pairs, "reduced.t_end") if "reduced.t_end" in pairs else None,
+        reduced_b0=_take(pairs, "reduced.b0", None),
+        reduced_t_end=_take(pairs, "reduced.t_end", None),
     )
     if any(k in pairs for k in ("ground.nx", "ground.ny", "ground.lx", "ground.ly")):
         cfg.ground_grid = (
@@ -186,6 +204,7 @@ def load_config(path) -> RunConfig:
             _take(pairs, "ground.lx", cfg.lx),
             _take(pairs, "ground.ly", cfg.ly),
         )
+        _build("ground", Grid2D, *cfg.ground_grid)
     if "sweep.alphas" in pairs:
         raw = pairs.pop("sweep.alphas")
         try:
@@ -195,11 +214,6 @@ def load_config(path) -> RunConfig:
     if pairs:
         raise ConfigError("unknown config key " + ", ".join(repr(k) for k in sorted(pairs)))
 
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
     if cfg.stepper not in ("strang", "ifrk4"):
         raise ConfigError(f"step.stepper must be strang or ifrk4, got {cfg.stepper!r}")
     if cfg.ic_kind not in ("gaussian", "file"):
@@ -211,13 +225,8 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"initial-condition file not found: {cfg.ic_path}")
     if cfg.record_every < 1 or cfg.snapshot_every < 0:
         raise ConfigError("output cadences must be positive (snapshots: 0 disables)")
-    # the remaining parameter checks reuse the domain-type validators
-    from .grid import Grid2D
-    from .models import ModelSpec
-    from .errors import ParameterError
-
-    try:
-        Grid2D(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-        ModelSpec(cfg.kind, cfg.beta, cfg.rho, cfg.nu, cfg.alpha)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    _build("grid", Grid2D, cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    _build("model", ModelSpec, cfg.kind, cfg.beta, cfg.rho, cfg.nu, cfg.alpha)
+    _build("reduced", ReducedState.initial, cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha,
+           b0=cfg.reduced_b0)
+    return cfg

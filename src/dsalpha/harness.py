@@ -8,7 +8,7 @@ the status field, never through the exit code.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -17,12 +17,12 @@ from .config import RunConfig
 from .errors import ConfigError
 from .fields import Field, complex_field
 from .grid import Grid2D
-from .ground_state import GroundState, PetviashviliConfig, solve_ground_state
+from .ground_state import GroundState, solve_ground_state
 from .models import ModelSpec, ModelKind
 from .modulation import ReducedState, compute_constants, integrate_reduced
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import fft2, grad_norm_spectrum
-from .stepping import DiagnosticsRecord, RunOutcome, StepControl, integrate
+from .stepping import DiagnosticsRecord, RunOutcome, integrate
 
 CSV_HEADER = "t,dt,mass,hamiltonian,grad_norm,max_amp,L_est"
 
@@ -31,17 +31,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_diagnostics_csv(path, records: List[DiagnosticsRecord]) -> None:
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row of floats in format_float."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    format_float(v)
-                    for v in (r.t, r.dt, r.mass, r.hamiltonian, r.grad_norm, r.max_amp, r.L_est)
-                )
-                + "\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def write_diagnostics_csv(path, records: List[DiagnosticsRecord]) -> None:
+    write_csv(
+        path,
+        CSV_HEADER,
+        ((r.t, r.dt, r.mass, r.hamiltonian, r.grad_norm, r.max_amp, r.L_est) for r in records),
+    )
 
 
 def read_diagnostics_csv(path) -> List[DiagnosticsRecord]:
@@ -89,17 +92,18 @@ def initial_state(cfg: RunConfig, grid: Grid2D) -> Field:
 
 def ground_state_for(cfg: RunConfig, grid: Optional[Grid2D] = None) -> GroundState:
     if grid is None:
-        if cfg.ground_grid is not None:
-            grid = Grid2D(*cfg.ground_grid)
-        else:
-            grid = build_grid(cfg)
-    pcfg = PetviashviliConfig(
-        gamma=cfg.ground_gamma,
-        tol=cfg.ground_tol,
-        max_iter=cfg.ground_max_iter,
-        continuation_steps=cfg.ground_continuation_steps,
-    )
-    return solve_ground_state(grid, cfg.beta, cfg.rho, cfg.nu, pcfg)
+        grid = Grid2D(*cfg.ground_grid) if cfg.ground_grid is not None else build_grid(cfg)
+    return solve_ground_state(grid, cfg.beta, cfg.rho, cfg.nu, cfg.petviashvili)
+
+
+def reduced_dynamics(cfg: RunConfig, ground: GroundState):
+    """(constants, trajectory) of the reduced scale ODE for cfg's model and
+    reduced.* data; the horizon is reduced.t_end, else step.t_end."""
+    reduced0 = ReducedState.initial(cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha, b0=cfg.reduced_b0)
+    consts = compute_constants(ground, build_spec(cfg), reduced0)
+    t_end = cfg.reduced_t_end if cfg.reduced_t_end is not None else cfg.control.t_end
+    traj = integrate_reduced(consts, cfg.alpha, cfg.reduced_l0, cfg.reduced_lt0, t_end)
+    return consts, traj
 
 
 @dataclass
@@ -127,21 +131,19 @@ def run_simulation(
 
     t0 = 0.0
     if resume_from is not None:
-        v0, t0, _ = read_snapshot(resume_from)
+        v0, t0, meta = read_snapshot(resume_from)
         if v0.grid != grid:
             raise ConfigError(f"checkpoint grid {v0.grid} does not match config grid {grid}")
+        for name, value in meta.items():
+            if value != getattr(spec, name):
+                raise ConfigError(
+                    f"checkpoint model.{name} {value} does not match config "
+                    f"model.{name} {getattr(spec, name)}"
+                )
     else:
         v0 = initial_state(cfg, grid)
 
-    control = StepControl(
-        dt=cfg.dt,
-        dt_min=cfg.dt_min,
-        dt_max=cfg.dt_max,
-        adaptive=cfg.adaptive,
-        cfl_const=cfg.cfl_const,
-        t_end=max(cfg.t_end - t0, 0.0),
-        amp_max=cfg.amp_max,
-    )
+    control = replace(cfg.control, t_end=max(cfg.control.t_end - t0, 0.0))
 
     snapshot_paths = []
 
@@ -210,33 +212,19 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
     completed = []
     for alpha in sorted(alphas):
         try:
-            sub = RunConfig(**{**cfg.__dict__, "alpha": alpha})
-            sub.output_dir = os.path.join(cfg.output_dir, f"alpha_{alpha:.6g}")
-            spec = build_spec(sub)
+            sub = replace(
+                cfg, alpha=alpha, output_dir=os.path.join(cfg.output_dir, f"alpha_{alpha:.6g}")
+            )
             arts = run_simulation(sub, grad_ref=gS)
             l_min_pde = min(r.L_est for r in arts.outcome.records)
-
-            reduced0 = ReducedState.initial(
-                cfg.reduced_l0, cfg.reduced_lt0, alpha, b0=cfg.reduced_b0
-            )
-            consts = compute_constants(ground, spec, reduced0)
-            traj = integrate_reduced(
-                consts,
-                alpha,
-                cfg.reduced_l0,
-                cfg.reduced_lt0,
-                cfg.reduced_t_end if cfg.reduced_t_end is not None else cfg.t_end,
-            )
+            consts, traj = reduced_dynamics(sub, ground)
             rows.append((alpha, l_min_pde, traj.l_min, consts.C1, consts.C2))
             completed.append(alpha)
-        except ConfigError:
+        except ConfigError as exc:
             raise ConfigError(
-                f"sweep aborted at alpha={alpha}; completed rows: {completed}"
-            )
+                f"sweep aborted at alpha={alpha}; completed rows: {completed}: {exc}"
+            ) from exc
 
     path = os.path.join(cfg.output_dir, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    write_csv(path, SWEEP_HEADER, rows)
     return rows, path

@@ -58,6 +58,10 @@ class StepControl:
             )
         if self.t_end < 0:
             raise ParameterError("t_end must be nonnegative")
+        if self.cfl_const <= 0:
+            raise ParameterError(f"cfl_const must be positive, got {self.cfl_const}")
+        if self.amp_max is not None and self.amp_max <= 0:
+            raise ParameterError(f"amp_max must be positive, got {self.amp_max}")
 
 
 @dataclass

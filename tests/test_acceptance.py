@@ -310,8 +310,9 @@ class TestCriterion8Infrastructure:
             c = RunConfig(
                 kind=ModelKind.RDS3, beta=1.0, rho=-1.0, nu=1.0, alpha=0.2,
                 nx=64, ny=64, lx=16.0, ly=16.0,
-                dt=2e-3, dt_min=1e-10, dt_max=2e-3, adaptive=True, cfl_const=0.1,
-                t_end=0.2, ic_amplitude=1.5, ic_width=1.2,
+                control=StepControl(dt=2e-3, dt_min=1e-10, dt_max=2e-3, adaptive=True,
+                                    cfl_const=0.1, t_end=0.2),
+                ic_amplitude=1.5, ic_width=1.2,
                 output_dir=str(tmp_path / outdir), record_every=5,
             )
             for k, v in kw.items():

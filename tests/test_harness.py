@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from dsalpha import ModelKind, RunStatus
+from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, RunStatus, complex_field
 from dsalpha.cli import main as cli_main
 from dsalpha.config import RunConfig, load_config
 from dsalpha.harness import (
@@ -14,10 +14,14 @@ from dsalpha.harness import (
     sweep_alpha,
     write_diagnostics_csv,
 )
-from dsalpha.snapshots import read_snapshot
+from dsalpha.snapshots import read_snapshot, write_snapshot
+from dsalpha.stepping import StepControl
 
 
 def base_config(tmp_path, **overrides):
+    step = dict(dt=2e-3, dt_min=1e-10, dt_max=2e-3, adaptive=True, cfl_const=0.1, t_end=0.2)
+    for name in [k for k in overrides if k in step]:
+        step[name] = overrides.pop(name)
     cfg = RunConfig(
         kind=ModelKind.RDS3,
         beta=1.0,
@@ -28,12 +32,7 @@ def base_config(tmp_path, **overrides):
         ny=64,
         lx=16.0,
         ly=16.0,
-        dt=2e-3,
-        dt_min=1e-10,
-        dt_max=2e-3,
-        adaptive=True,
-        cfl_const=0.1,
-        t_end=0.2,
+        control=StepControl(**step),
         ic_amplitude=1.5,
         ic_width=1.2,
         output_dir=str(tmp_path / "out"),
@@ -91,7 +90,7 @@ class TestRunSimulation:
         cfg = base_config(tmp_path)
         arts = run_simulation(cfg)
         field, t, meta = read_snapshot(arts.final_snapshot_path)
-        assert t == pytest.approx(cfg.t_end)
+        assert t == pytest.approx(cfg.control.t_end)
         assert meta["alpha"] == cfg.alpha
         assert np.array_equal(field.values, arts.outcome.final_state.values)
 
@@ -107,7 +106,25 @@ class TestRunSimulation:
         assert all(os.path.exists(p) for p in arts.snapshot_paths)
         # the first record carries the configured dt, the last may be truncated
         levels = {r.dt for r in outcome.records[1:-1]}
-        assert levels == {cfg.dt_max / 2, cfg.dt_max / 4}
+        assert levels == {cfg.control.dt_max / 2, cfg.control.dt_max / 4}
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("kind", ModelKind.RDS1), ("beta", 0.5), ("rho", -0.5), ("nu", 2.0), ("alpha", 0.3)],
+    )
+    def test_resume_under_another_model_rejected(self, tmp_path, name, value):
+        arts = run_simulation(base_config(tmp_path, output_dir=str(tmp_path / "a"), t_end=0.0))
+        other = base_config(tmp_path, output_dir=str(tmp_path / "b"), t_end=0.0)
+        setattr(other, name, value)
+        with pytest.raises(ConfigError, match=f"model.{name}"):
+            run_simulation(other, resume_from=arts.final_snapshot_path)
+
+    def test_ic_file_may_seed_another_model(self, tmp_path):
+        arts = run_simulation(base_config(tmp_path, output_dir=str(tmp_path / "a"), t_end=0.0))
+        dse = base_config(tmp_path, output_dir=str(tmp_path / "b"), t_end=0.0,
+                          kind=ModelKind.DSE, alpha=0.0, ic_kind="file",
+                          ic_path=arts.final_snapshot_path)
+        assert run_simulation(dse).outcome.status is RunStatus.REACHED_T_END
 
     def test_ic_from_file(self, tmp_path):
         cfg = base_config(tmp_path, output_dir=str(tmp_path / "one"), t_end=0.0)
@@ -138,9 +155,18 @@ class TestSweep:
         assert all(v > 0 for v in lred)
         assert lred[0] < lred[1] < lred[2]
 
-    def test_rejects_bad_alphas(self, tmp_path):
-        from dsalpha import ConfigError
+    def test_abort_keeps_the_cause(self, tmp_path, coupled_ground):
+        path = tmp_path / "small.snap"
+        g = Grid2D(32, 32, 16.0, 16.0)
+        write_snapshot(path, complex_field(g, np.zeros((32, 32))), 0.0,
+                       ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1))
+        cfg = base_config(tmp_path, ic_kind="file", ic_path=str(path))
+        with pytest.raises(ConfigError, match="does not match") as info:
+            sweep_alpha(cfg, [0.1, 0.2], ground=coupled_ground)
+        assert "alpha=0.1" in str(info.value)
+        assert "does not match" in str(info.value.__cause__)
 
+    def test_rejects_bad_alphas(self, tmp_path):
         cfg = base_config(tmp_path)
         with pytest.raises(ConfigError):
             sweep_alpha(cfg, [0.1])

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, SnapshotFormatError, complex_field
+from dsalpha.cli import main as cli_main
 from dsalpha.config import load_config, parse_kv_file
+from dsalpha.ground_state import PetviashviliConfig
 from dsalpha.snapshots import MAGIC, read_snapshot, write_snapshot
+from dsalpha.stepping import StepControl
 from conftest import random_complex
 
 
@@ -94,7 +97,7 @@ class TestConfig:
         assert cfg.kind is ModelKind.RDS3
         assert cfg.alpha == 0.1
         assert cfg.nx == 64 and cfg.lx == 16.0
-        assert cfg.adaptive is True
+        assert cfg.control.adaptive is True
         assert cfg.record_every == 4
 
     def test_comments_and_blank_lines(self, tmp_path):
@@ -143,6 +146,31 @@ class TestConfig:
         p.write_text(CONFIG_TEXT + line + "\n")
         with pytest.raises(ConfigError, match=line.split()[0]):
             load_config(p)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "step.dt_max = 1e-4",  # below step.dt = 1e-3
+            "step.cfl_const = 0",
+            "step.amp_max = -1",
+            "ground.gamma = 2.5",
+            "ground.nx = 7",
+            "reduced.l0 = -1",
+        ],
+    )
+    def test_invalid_value_rejected_at_load(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG_TEXT + line + "\n")
+        with pytest.raises(ConfigError, match=line.split(".")[0]):
+            load_config(p)
+        assert cli_main(["simulate", str(p)]) == 2
+
+    def test_step_and_ground_defaults_are_their_owners(self, tmp_path):
+        p = tmp_path / "min.cfg"
+        p.write_text("model.kind = dse\nmodel.beta = 1\nmodel.rho = -1\nmodel.nu = 1\n")
+        cfg = load_config(p)
+        assert cfg.control == StepControl()
+        assert cfg.petviashvili == PetviashviliConfig()
 
     def test_readme_example_loads(self, tmp_path):
         # every key the README documents must be one load_config reads
