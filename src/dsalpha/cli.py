@@ -2,16 +2,15 @@
 
 Subcommands: simulate, ground-state, modulation, sweep, fit.  Exit code 0
 covers every scientific outcome (blow-up included); 2 flags configuration
-errors (an invalid value in any section, a resume under another model) or
-input-format errors, 1 unexpected I/O failures.
+errors (an invalid value in any section, a resume under another model,
+modulation or sweep on a DSE config) or input-format errors, 1 unexpected
+I/O failures.
 """
 
 import argparse
 import json
 import os
 import sys
-
-import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, DsalphaError, InsufficientDataError, SnapshotFormatError
@@ -21,6 +20,7 @@ from .harness import (
     ground_state_for,
     read_diagnostics_csv,
     reduced_dynamics,
+    require_regularized,
     run_simulation,
     sweep_alpha,
     write_csv,
@@ -44,8 +44,8 @@ def _cmd_ground_state(args):
     spec = build_spec(cfg)
     s_path = os.path.join(cfg.output_dir, "ground_S.snap")
     x_path = os.path.join(cfg.output_dir, "ground_X.snap")
-    write_snapshot(s_path, _as_complex(gs.S), 0.0, spec)
-    write_snapshot(x_path, _as_complex(gs.X), 0.0, spec)
+    write_snapshot(s_path, gs.S, 0.0, spec)
+    write_snapshot(x_path, gs.X, 0.0, spec)
     meta = {
         "lambda": gs.lam,
         "residual": gs.residual,
@@ -65,14 +65,9 @@ def _cmd_ground_state(args):
     return 0
 
 
-def _as_complex(field):
-    from .fields import complex_field
-
-    return complex_field(field.grid, field.values.astype(np.complex128))
-
-
 def _cmd_modulation(args):
     cfg = load_config(args.config)
+    require_regularized(cfg, "modulation")
     if not cfg.output_dir:
         raise ConfigError("output.dir is required for modulation runs")
     os.makedirs(cfg.output_dir, exist_ok=True)

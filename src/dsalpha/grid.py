@@ -69,12 +69,7 @@ class Grid2D:
         """Symbol of (Id - alpha^2 Lap)^{-1}: 1 / (1 + alpha^2 |k|^2)."""
         if alpha <= 0:
             raise ParameterError(f"alpha must be positive, got {alpha}")
-        key = ("helmholtz", float(alpha))
-        sym = self._multiplier_cache.get(key)
-        if sym is None:
-            sym = 1.0 / (1.0 + alpha**2 * self.k2)
-            self._multiplier_cache[key] = sym
-        return sym
+        return self._cached(("helmholtz", float(alpha)), lambda: 1.0 / (1.0 + alpha**2 * self.k2))
 
     def e_symbol(self, nu, component="xx"):
         """Symbol of the anisotropic-Poisson velocity operator.
@@ -88,21 +83,21 @@ class Grid2D:
             raise ParameterError(f"nu must be positive, got {nu}")
         if component not in ("xx", "xy"):
             raise ParameterError(f"unknown E component {component!r}")
-        key = ("e", float(nu), component)
-        sym = self._multiplier_cache.get(key)
-        if sym is None:
+
+        def build():
             denom = self.kxg**2 + nu * self.kyg**2
             safe = np.where(denom > 0, denom, 1.0)
             num = self.kxg**2 if component == "xx" else self.kxg * self.kyg
-            sym = np.where(denom > 0, num / safe, 0.0)
-            self._multiplier_cache[key] = sym
-        return sym
+            return np.where(denom > 0, num / safe, 0.0)
+
+        return self._cached(("e", float(nu), component), build)
 
     def inverse_one_minus_laplacian_symbol(self):
         """Symbol of (1 - Lap)^{-1}, the Petviashvili left inverse."""
-        key = ("inv1mlap",)
+        return self._cached(("inv1mlap",), lambda: 1.0 / (1.0 + self.k2))
+
+    def _cached(self, key, build):
         sym = self._multiplier_cache.get(key)
         if sym is None:
-            sym = 1.0 / (1.0 + self.k2)
-            self._multiplier_cache[key] = sym
+            sym = self._multiplier_cache[key] = build()
         return sym

@@ -9,7 +9,9 @@ stabilized by the Petviashvili factor M^gamma.  The nonlinearity is cubic
 (E is linear), so the standard exponent gamma = 3/2 applies.  The iterate
 is symmetrized to be even in both variables every sweep: this pins
 translation invariance and enforces the evenness under which the
-linearized solves downstream are well posed.
+linearized solves downstream are well posed.  Each sweep evaluates S's
+spectrum and X = E(S^2) once, for the updated iterate, and uses them for its
+residual and the next sweep; the stored X is that of the returned S.
 
 Starting the coupled iteration cold at large |rho| can stagnate, so the
 solver continues in rho from the rho = 0 cubic ground state (the Townes
@@ -72,11 +74,13 @@ def symmetrize_even(a):
     return a
 
 
-def _residual_values(S, grid, beta, rho, nu):
-    Sh = fft2(S)
-    lap = ifft2(-grid.k2 * Sh).real
-    X = ifft2(grid.e_symbol(nu, "xx") * fft2(S * S)).real
-    return lap - S + beta * S**3 - rho * S * X, X
+def _spectrum_and_x(S, e_xx):
+    """(fft2(S), X = E(S^2)) of one profile."""
+    return fft2(S), ifft2(e_xx * fft2(S * S)).real
+
+
+def _residual_values(S, Sh, X, grid, beta, rho):
+    return ifft2(-grid.k2 * Sh).real - S + beta * S**3 - rho * S * X
 
 
 def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> float:
@@ -86,25 +90,23 @@ def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> flo
     is still measured so that externally supplied pairs are checked.
     """
     g = check_same_grid(S, X)
-    r1, _ = _residual_values(S.values, g, beta, rho, nu)
+    Sh, X_of_S = _spectrum_and_x(S.values, g.e_symbol(nu, "xx"))
+    r1 = _residual_values(S.values, Sh, X_of_S, g, beta, rho)
     # defect of Delta_nu X - (S^2)_xx
-    f2h = fft2(S.values**2)
     lhs = ifft2(-(g.kxg**2 + nu * g.kyg**2) * fft2(X.values)).real
-    rhs = ifft2(-(g.kxg**2) * f2h).real
+    rhs = ifft2(-(g.kxg**2) * fft2(S.values**2)).real
     return l2_norm_values(r1, g) + l2_norm_values(lhs - rhs, g)
 
 
 def _petviashvili(S, grid, beta, rho, nu, cfg):
-    """Iterate at fixed parameters from the supplied initial profile."""
+    """Iterate at fixed parameters from S; returns (S, X = E(S^2), residual)."""
     inv = grid.inverse_one_minus_laplacian_symbol()
     e_xx = grid.e_symbol(nu, "xx")
     scale0 = float(np.max(np.abs(S)))
     residual = np.inf
+    Sh, X = _spectrum_and_x(S, e_xx)
     for _ in range(cfg.max_iter):
-        X = ifft2(e_xx * fft2(S * S)).real
-        N = beta * S**3 - rho * S * X
-        Sh = fft2(S)
-        Nh = fft2(N)
+        Nh = fft2(beta * S**3 - rho * S * X)
         denom = float(np.real(np.sum(np.conj(Sh) * Nh)))
         if denom <= 0:
             raise DegenerateLimitError(
@@ -115,10 +117,10 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
         S = symmetrize_even(M**cfg.gamma * ifft2(inv * Nh).real)
         if float(np.max(np.abs(S))) < 1e-8 * scale0:
             raise DegenerateLimitError("iterate collapsed to the trivial solution")
-        r, _ = _residual_values(S, grid, beta, rho, nu)
-        residual = l2_norm_values(r, grid)
+        Sh, X = _spectrum_and_x(S, e_xx)
+        residual = l2_norm_values(_residual_values(S, Sh, X, grid, beta, rho), grid)
         if residual < cfg.tol:
-            return S, residual
+            return S, X, residual
     raise ConvergenceError(
         f"Petviashvili did not reach tol={cfg.tol} in {cfg.max_iter} iterations "
         f"(last residual {residual:.3e})",
@@ -144,18 +146,15 @@ def solve_ground_state(
     cfg = cfg or PetviashviliConfig()
 
     # Townes-like seed; amplitude near the known peak value of the cubic profile
-    S = 2.2 * np.exp(-grid.r2 / 2.0)
-    S, residual = _petviashvili(S, grid, beta, 0.0, nu, cfg)
+    S, X, residual = _petviashvili(2.2 * np.exp(-grid.r2 / 2.0), grid, beta, 0.0, nu, cfg)
     if rho != 0.0:
         for k in range(1, cfg.continuation_steps + 1):
             rho_k = rho * k / cfg.continuation_steps
-            S, residual = _petviashvili(S, grid, beta, rho_k, nu, cfg)
+            S, X, residual = _petviashvili(S, grid, beta, rho_k, nu, cfg)
 
-    X = ifft2(grid.e_symbol(nu, "xx") * fft2(S * S)).real
     da = grid.cell_area
     f = S * S
-    fh = fft2(f)
-    grad_f_sq = float(np.sum(grid.k2 * np.abs(fh) ** 2) * da)
+    grad_f_sq = float(np.sum(grid.k2 * np.abs(fft2(f)) ** 2) * da)
     return GroundState(
         S=real_field(grid, S),
         X=real_field(grid, X),

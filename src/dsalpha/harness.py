@@ -96,6 +96,12 @@ def ground_state_for(cfg: RunConfig, grid: Optional[Grid2D] = None) -> GroundSta
     return solve_ground_state(grid, cfg.beta, cfg.rho, cfg.nu, cfg.petviashvili)
 
 
+def require_regularized(cfg: RunConfig, command: str) -> None:
+    """The reduced dynamics (modulation, sweep) exist for the RDS kinds only."""
+    if cfg.kind is ModelKind.DSE:
+        raise ConfigError(f"{command} applies to the regularized kinds only")
+
+
 def reduced_dynamics(cfg: RunConfig, ground: GroundState):
     """(constants, trajectory) of the reduced scale ODE for cfg's model and
     reduced.* data; the horizon is reduced.t_end, else step.t_end."""
@@ -198,8 +204,7 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
         raise ConfigError("sweep needs at least 2 alpha values")
     if any(a <= 0 for a in alphas):
         raise ConfigError("sweep alphas must all be positive")
-    if cfg.kind is ModelKind.DSE:
-        raise ConfigError("sweep applies to the regularized kinds only")
+    require_regularized(cfg, "sweep")
     if not cfg.output_dir:
         raise ConfigError("output.dir is required for a sweep")
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -156,11 +156,11 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     n = g.nx * g.ny
 
     f = S * S
-    lap_f = ifft2(-k2 * fft2(f)).real
 
     if mode == "GY":
         rhs = -0.25 * g.r2 * S
     else:
+        lap_f = ifft2(-k2 * fft2(f)).real
         lap_X = ifft2(-k2 * fft2(X)).real
         e_lap_f = ifft2(e_xx * fft2(lap_f)).real
         rhs = -beta * S * lap_f + rho * S * lap_X + rho * S * e_lap_f
@@ -207,7 +207,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     sh = fft2(S * first)
     second = 2.0 * ifft2(e_xx * sh).real
     if mode == "HZ":
-        second = second + ifft2(e_xx * fft2(lap_f)).real
+        second = second + e_lap_f
 
     inner = float(np.sum(S * first) * g.cell_area)
     return LinearizedSolution(
@@ -290,12 +290,9 @@ def integrate_reduced(
         raise ConvergenceError("reduced ODE reached L <= 0 (step-size failure)")
 
     # thin to at most max_samples, always keeping the endpoints
-    if t_eval is not None:
-        idx = np.arange(len(ts))
-    elif len(ts) > max_samples:
+    idx = np.arange(len(ts))
+    if t_eval is None and len(ts) > max_samples:
         idx = np.unique(np.linspace(0, len(ts) - 1, max_samples).astype(int))
-    else:
-        idx = np.arange(len(ts))
 
     q0 = reduced_first_integral(constants, alpha, L0, Lt0)
     states = []

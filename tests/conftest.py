@@ -43,6 +43,18 @@ def rng():
     return np.random.default_rng(2024)
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap each module.<name>; the returned list gains the name per call."""
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_complex(rng, grid):
     return rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal(
         (grid.nx, grid.ny)

@@ -12,7 +12,9 @@ from dsalpha import (
     residual_norm,
     solve_ground_state,
 )
+import dsalpha.ground_state as gs_mod
 from dsalpha.spectral import fft2, ifft2
+from conftest import count_calls
 from oracles import cubic_profile_critical_mass
 
 # frozen from the shooting oracle (see oracles.py); the oracle is also run
@@ -39,6 +41,29 @@ class TestCubicLimit:
         X2 = e_multiplier(real_field(g, townes.S.values**2), 1.0, "xx")
         assert np.max(np.abs(X2.values - townes.X.values)) < 1e-12
         assert residual_norm(townes.S, townes.X, 1.0, 0.0, 1.0) < 2e-10
+
+
+class TestOneEvaluationPerIterate:
+    @pytest.mark.parametrize("name", ["townes", "coupled_ground"])
+    def test_stored_X_is_that_of_returned_S(self, request, name):
+        # bit for bit: an X taken from the iterate before its last update
+        # would differ at roundoff
+        gs = request.getfixturevalue(name)
+        S = gs.S.values
+        X = ifft2(gs.grid.e_symbol(gs.nu, "xx") * fft2(S * S)).real
+        assert np.array_equal(gs.X.values, X)
+
+    def test_petviashvili_sweep_makes_six_transforms(self, monkeypatch):
+        # per sweep: fft2(N), the (1 - Lap)^{-1} update, the new iterate's
+        # spectrum and X (3) and its residual's Laplacian; per fixed-rho
+        # solve 3 for the seed's spectrum and X; at the end fft2(S^2)
+        cfg = PetviashviliConfig(continuation_steps=2)
+        transforms = count_calls(monkeypatch, gs_mod, "fft2", "ifft2")
+        sweeps = count_calls(monkeypatch, gs_mod, "symmetrize_even")
+        solve_ground_state(Grid2D(64, 64, 24.0, 24.0), 1.0, -1.0, 1.0, cfg)
+        solves = 1 + cfg.continuation_steps
+        assert len(sweeps) > 0
+        assert len(transforms) == 6 * len(sweeps) + 3 * solves + 1
 
 
 class TestCoupledGroundState:

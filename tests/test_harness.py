@@ -212,6 +212,21 @@ class TestCli:
         assert cli_main(["simulate", str(cfg)]) == 2
         assert "run.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, solver", [
+        (["modulation"], "dsalpha.cli.ground_state_for"),
+        (["sweep", "--alphas=0.1,0.2"], "dsalpha.harness.ground_state_for"),
+    ])
+    def test_reduced_dynamics_on_dse_exit_two(self, tmp_path, capsys, monkeypatch, argv, solver):
+        # the reduced dynamics exist for the RDS kinds only; the config is
+        # rejected before any ground-state solve
+        solves = []
+        monkeypatch.setattr(solver, lambda *a, **k: solves.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace("rds3", "dse"))
+        assert cli_main([argv[0], str(cfg), *argv[1:]]) == 2
+        assert "regularized kinds only" in capsys.readouterr().err
+        assert solves == []
+
     def test_fit_subcommand(self, tmp_path, capsys):
         ts = np.linspace(0.0, 0.999, 300)
         from dsalpha.stepping import DiagnosticsRecord

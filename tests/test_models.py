@@ -14,9 +14,10 @@ from dsalpha import (
     mass,
     nonlinearity,
 )
+import dsalpha.models as models_mod
 from dsalpha.harness import gaussian_state
 from dsalpha.models import potential_values
-from conftest import random_complex
+from conftest import count_calls, random_complex
 
 ALL_KINDS = [ModelKind.DSE, ModelKind.RDS1, ModelKind.RDS2, ModelKind.RDS3]
 
@@ -217,6 +218,18 @@ class TestMassAndHamiltonian:
         v = complex_field(grid_small, np.zeros((64, 64)))
         for kind in ALL_KINDS:
             assert hamiltonian(v, spec_for(kind)) == 0.0
+
+    @pytest.mark.parametrize("kind, transforms", [
+        (ModelKind.DSE, 5), (ModelKind.RDS1, 6), (ModelKind.RDS2, 5), (ModelKind.RDS3, 6),
+    ])
+    def test_hamiltonian_transforms_v_once(self, grid_small, rng, monkeypatch, kind, transforms):
+        # one fft2 of v feeds both the gradient term and the intensity; the
+        # rest are the intensity pipeline (2), u_eff for RDS1/3 (1) and the
+        # mean flow (2)
+        v = complex_field(grid_small, random_complex(rng, grid_small))
+        calls = count_calls(monkeypatch, models_mod, "fft2", "ifft2")
+        hamiltonian(v, spec_for(kind))
+        assert len(calls) == transforms
 
     def test_hamiltonian_plane_wave_rds3(self, grid_small):
         g = grid_small
