@@ -13,20 +13,11 @@ from .errors import (
     SnapshotFormatError,
     SpaceContractError,
     SymmetryViolationError,
-    UndefinedScaleError,
 )
 from .fields import Field, complex_field, real_field
 from .grid import Grid2D
 from .ground_state import GroundState, PetviashviliConfig, residual_norm, solve_ground_state
-from .models import (
-    AuxFields,
-    ModelKind,
-    ModelSpec,
-    compute_aux,
-    hamiltonian,
-    mass,
-    nonlinearity,
-)
+from .models import ModelKind, ModelSpec, hamiltonian, mass
 from .modulation import (
     CollapseFit,
     LinearizedSolution,
@@ -39,15 +30,7 @@ from .modulation import (
     reduced_first_integral,
     solve_linearized,
 )
-from .spectral import (
-    dealias,
-    e_multiplier,
-    from_spectral,
-    grad_norm,
-    helmholtz_inverse,
-    l2_norm,
-    to_spectral,
-)
+from .spectral import e_multiplier, helmholtz_inverse, l2_norm
 from .stepping import (
     DiagnosticsRecord,
     RunOutcome,
@@ -55,14 +38,11 @@ from .stepping import (
     StepControl,
     ifrk4_step,
     integrate,
-    profile_diagnostics,
-    strang_step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxFields",
     "CollapseFit",
     "ConfigError",
     "ConvergenceError",
@@ -88,15 +68,10 @@ __all__ = [
     "SpaceContractError",
     "StepControl",
     "SymmetryViolationError",
-    "UndefinedScaleError",
     "collapse_fit",
     "complex_field",
-    "compute_aux",
     "compute_constants",
-    "dealias",
     "e_multiplier",
-    "from_spectral",
-    "grad_norm",
     "hamiltonian",
     "helmholtz_inverse",
     "ifrk4_step",
@@ -104,13 +79,9 @@ __all__ = [
     "integrate_reduced",
     "l2_norm",
     "mass",
-    "nonlinearity",
-    "profile_diagnostics",
     "real_field",
     "reduced_first_integral",
     "residual_norm",
     "solve_ground_state",
     "solve_linearized",
-    "strang_step",
-    "to_spectral",
 ]

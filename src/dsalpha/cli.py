@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, ground-state, modulation, sweep, fit.  Exit code 0
-covers every scientific outcome (blow-up included); 2 flags configuration
-errors (an invalid value in any section, a resume under another model,
-modulation or sweep on a DSE config) or input-format errors, 1 unexpected
-I/O failures.
+covers every scientific outcome (blow-up and numerical instability
+included); 2 flags configuration errors (an invalid value in any section,
+a resume under another model, modulation or sweep on a DSE config) or
+input-format errors, 1 unexpected I/O failures.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from .harness import (
     write_csv,
 )
 from .modulation import collapse_fit, solve_linearized
-from .snapshots import write_snapshot
+from .snapshots import atomic_open, write_snapshot
 
 
 def _cmd_simulate(args):
@@ -56,7 +56,7 @@ def _cmd_ground_state(args):
         "rho": gs.rho,
         "nu": gs.nu,
     }
-    with open(os.path.join(cfg.output_dir, "ground_meta.json"), "w") as fh:
+    with atomic_open(os.path.join(cfg.output_dir, "ground_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
     print(
         f"ground state: residual={gs.residual:.3e} mass={format_float(gs.mass)} "

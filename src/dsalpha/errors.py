@@ -6,7 +6,8 @@ class DsalphaError(Exception):
 
 
 class SpaceContractError(DsalphaError):
-    """A field was passed in the wrong space (physical vs spectral)."""
+    """Complex values with more than roundoff imaginary content were passed
+    where a real field is required (raised by fields.real_field)."""
 
 
 class ParameterError(DsalphaError, ValueError):
@@ -30,10 +31,6 @@ class ConvergenceError(DsalphaError):
 
 class DegenerateLimitError(DsalphaError):
     """A fixed-point iterate collapsed to the trivial solution."""
-
-
-class UndefinedScaleError(DsalphaError):
-    """Focusing-scale estimate requested for a field with zero gradient norm."""
 
 
 class SymmetryViolationError(DsalphaError):

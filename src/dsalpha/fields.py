@@ -1,4 +1,8 @@
-"""Gridded field values with an explicit physical/spectral space flag."""
+"""Gridded physical-space samples of a field.
+
+Spectra never travel as Fields: the transforms and the multiplier kernels
+in spectral.py take and return plain arrays.
+"""
 
 from dataclasses import dataclass
 
@@ -7,16 +11,13 @@ import numpy as np
 from .errors import GridMismatchError, SpaceContractError
 from .grid import Grid2D
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
 # Imaginary content above this (relative) in a nominally real pipeline is a bug.
 REAL_COERCION_TOL = 1e-12
 
 
 @dataclass
 class Field:
-    """Samples of a field on a Grid2D, in physical or spectral space.
+    """Physical-space samples of a field on a Grid2D.
 
     values has shape (nx, ny), x index first, row-major (y fastest).
     Complex fields hold the wave amplitude v; real fields hold auxiliary
@@ -25,7 +26,6 @@ class Field:
 
     grid: Grid2D
     values: np.ndarray
-    space: str = PHYSICAL
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -34,27 +34,18 @@ class Field:
                 f"field shape {self.values.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
-        if self.space not in (PHYSICAL, SPECTRAL):
-            raise SpaceContractError(f"unknown space flag {self.space!r}")
 
     @property
     def is_real(self):
         return not np.iscomplexobj(self.values)
 
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.space)
 
-    def require_space(self, space):
-        if self.space != space:
-            raise SpaceContractError(f"expected a {space}-space field, got {self.space}")
-
-
-def complex_field(grid, values, space=PHYSICAL):
+def complex_field(grid, values):
     """Wrap values as a complex field, promoting dtype to complex128."""
-    return Field(grid, np.asarray(values, dtype=np.complex128), space)
+    return Field(grid, np.asarray(values, dtype=np.complex128))
 
 
-def real_field(grid, values, space=PHYSICAL):
+def real_field(grid, values):
     """Wrap values as a real field.
 
     Complex input produced by a spectral pipeline is coerced, but only if
@@ -70,7 +61,7 @@ def real_field(grid, values, space=PHYSICAL):
                 f"content {np.max(np.abs(values.imag)) / scale:.3e} > {REAL_COERCION_TOL}"
             )
         values = values.real
-    return Field(grid, np.asarray(values, dtype=np.float64), space)
+    return Field(grid, np.asarray(values, dtype=np.float64))
 
 
 def check_same_grid(*fields):

@@ -20,7 +20,7 @@ from .grid import Grid2D
 from .ground_state import GroundState, solve_ground_state
 from .models import ModelSpec, ModelKind
 from .modulation import ReducedState, compute_constants, integrate_reduced
-from .snapshots import read_snapshot, write_snapshot
+from .snapshots import atomic_open, read_snapshot, write_snapshot
 from .spectral import fft2, grad_norm_spectrum
 from .stepping import DiagnosticsRecord, RunOutcome, integrate
 
@@ -32,8 +32,9 @@ def format_float(x: float) -> str:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """The header line, then one line per row of floats in format_float."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """The header line, then one line per row of floats in format_float;
+    written atomically (snapshots.atomic_open)."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(format_float(v) for v in row) + "\n")

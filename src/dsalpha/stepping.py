@@ -6,11 +6,16 @@ Because every potential in these systems is real, the nonlinear substep is
 an exact pointwise phase rotation that leaves |v| invariant, so the scheme
 conserves the discrete mass to roundoff and Hamiltonian drift is the sole
 error metric.  An integrating-factor RK4 stepper is provided as a second
-implementation for cross-validation; integrate runs either one.
+implementation for cross-validation.  integrate is the one loop that runs
+either stepper.
 
-The main loop fuses the trailing half phase of one step with the leading
-half phase of the next (they see the same |v| and hence the same
-potential), paying the full split cost only at record boundaries.
+The loop fuses the trailing half phase of one step with the leading half
+phase of the next (they see the same |v| and hence the same potential),
+paying the full split cost only at record boundaries.  It stops at t_end,
+at dt underflow, at blow-up (amp_max), or, before the amplitude test, with
+NUMERICAL_INSTABILITY once the relative mass drift passes
+MAX_MASS_DRIFT: a conservative flow cannot drift, so a step that does is
+non-conservative (IFRK4 beyond its stability limit) rather than a collapse.
 """
 
 from dataclasses import dataclass
@@ -19,16 +24,24 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedScaleError
-from .fields import PHYSICAL, Field
+from .errors import ParameterError
+from .fields import Field
 from .models import ModelSpec, mass, hamiltonian, potential_values
-from .spectral import fft2, grad_norm_spectrum, ifft2, l2_norm_values
+from .spectral import fft2, grad_norm_spectrum, ifft2
+
+# Relative mass drift beyond which a run stops as NUMERICAL_INSTABILITY.
+# Strang steps conserve mass to roundoff (4.5e-14 when a 384^2 DSE collapse
+# trips amp_max) and stable IFRK4 runs stay below 1e-12, so the bound sits
+# far above any healthy run and far below the O(1) drift of a step that
+# has lost stability.
+MAX_MASS_DRIFT = 1e-6
 
 
 class RunStatus(Enum):
     REACHED_T_END = "reached_t_end"
     BLOW_UP_DETECTED = "blow_up_detected"
     DT_UNDERFLOW = "dt_underflow"
+    NUMERICAL_INSTABILITY = "numerical_instability"
 
 
 @dataclass
@@ -84,24 +97,11 @@ class RunOutcome:
     steps: int = 0
 
 
-def strang_step(v: Field, spec: ModelSpec, dt: float) -> Field:
-    """One Strang step: half nonlinear phase, full linear, half phase."""
-    if dt == 0:
-        raise ParameterError("dt must be nonzero")
-    v.require_space(PHYSICAL)
-    g = v.grid
-    w = v.values * np.exp(0.5j * dt * potential_values(v.values, g, spec))
-    w = ifft2(np.exp(-1j * dt * g.k2) * fft2(w))
-    w = w * np.exp(0.5j * dt * potential_values(w, g, spec))
-    return Field(g, w, PHYSICAL)
-
-
 def ifrk4_step(v: Field, spec: ModelSpec, dt: float) -> Field:
     """Integrating-factor RK4 step; cross-validation stepper.
 
     Works on w(t) = exp(-i t Lap) v(t), for which w' = i exp(-i t Lap) F(v).
     """
-    v.require_space(PHYSICAL)
     g = v.grid
     half = np.exp(-0.5j * dt * g.k2)
     full = half * half
@@ -118,13 +118,13 @@ def ifrk4_step(v: Field, spec: ModelSpec, dt: float) -> Field:
     k3 = rhs(wh + 0.5 * dt * k2, half)
     k4 = rhs(wh + dt * k3, full)
     wh = wh + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Field(g, ifft2(wh * full), PHYSICAL)
+    return Field(g, ifft2(wh * full))
 
 
 def _record(g, spec, t, dt, values, grad_ref):
     vh = fft2(values)
     gn = grad_norm_spectrum(vh, g)
-    f = Field(g, values, PHYSICAL)
+    f = Field(g, values)
     return DiagnosticsRecord(
         t=t,
         dt=dt,
@@ -146,7 +146,8 @@ def integrate(
     snapshot_writer: Optional[Callable[[int, float, Field], None]] = None,
     stepper: str = "strang",
 ) -> RunOutcome:
-    """Step from t=0 to t_end, amp_max, or dt underflow, whichever first.
+    """Step from t=0 to t_end, amp_max, dt underflow or a mass drift above
+    MAX_MASS_DRIFT, whichever first.
 
     stepper is "strang" (the default) or "ifrk4"; both share the step-size
     policy, records, snapshots and stopping rules of this loop.
@@ -158,7 +159,6 @@ def integrate(
     inverse-gradient scale (callers with a ground state pass |grad S|_2),
     and keeps the column independent of where a checkpointed run resumed.
     """
-    v0.require_space(PHYSICAL)
     if record_every < 1:
         raise ParameterError("record_every must be a positive step count")
     if stepper not in ("strang", "ifrk4"):
@@ -204,7 +204,7 @@ def integrate(
             pending_half = 0.0
 
     if snapshot_writer is not None and snapshot_every > 0:
-        snapshot_writer(0, t, Field(g, values.copy(), PHYSICAL))
+        snapshot_writer(0, t, Field(g, values.copy()))
 
     while t < control.t_end:
         if control.adaptive:
@@ -231,7 +231,7 @@ def integrate(
             values = ifft2(linear_phase(dt) * fft2(values))
             pending_half = 0.5 * dt
         else:
-            values = ifrk4_step(Field(g, values, PHYSICAL), spec, dt).values
+            values = ifrk4_step(Field(g, values), spec, dt).values
 
         t = control.t_end if last else t + dt
         steps += 1
@@ -247,8 +247,11 @@ def integrate(
         m = np.sum((values * values.conj()).real) * da
         if m0 > 0:
             max_drift = max(max_drift, abs(m - m0) / m0)
-        if float(np.max(np.abs(values))) > amp_max:
+        if max_drift > MAX_MASS_DRIFT:
+            status = RunStatus.NUMERICAL_INSTABILITY
+        elif float(np.max(np.abs(values))) > amp_max:
             status = RunStatus.BLOW_UP_DETECTED
+        if status is not RunStatus.REACHED_T_END:
             close_half()
             records.append(_record(g, spec, t, dt, values, grad_ref))
             break
@@ -260,7 +263,7 @@ def integrate(
             if emit:
                 records.append(_record(g, spec, t, dt, values, grad_ref))
             if snap:
-                snapshot_writer(steps, t, Field(g, values.copy(), PHYSICAL))
+                snapshot_writer(steps, t, Field(g, values.copy()))
 
     close_half()
     if not overflowed and records[-1].t != t:
@@ -273,46 +276,6 @@ def integrate(
         max_mass_drift=max_drift,
         steps=steps,
     )
-    out.final_state = Field(g, values, PHYSICAL)
+    out.final_state = Field(g, values)
     return out
 
-
-def _resample_modulus(v: Field, scale: float, center_ix, center_iy, target_grid):
-    """Evaluate |v| at the points scale*(x, y) of target_grid, recentered.
-
-    Works by direct evaluation of the Fourier series on the (tensor) target
-    points; the recentering shift is folded into the mode phases.
-    """
-    g = v.grid
-    vh = fft2(v.values)
-    x0 = g.x[center_ix]
-    y0 = g.y[center_iy]
-    # FFT phases are relative to the first grid point, not to x = 0
-    xt = scale * target_grid.x + x0 - g.x[0]
-    yt = scale * target_grid.y + y0 - g.y[0]
-    ex = np.exp(1j * np.outer(xt, g.kx))  # (nxt, nx)
-    ey = np.exp(1j * np.outer(g.ky, yt))  # (ny, nyt)
-    vals = ex @ vh @ ey / np.sqrt(g.nx * g.ny)
-    return np.abs(vals)
-
-
-def profile_diagnostics(v: Field, ground) -> tuple:
-    """Focusing scale and distance to the rescaled ground-state profile.
-
-    L_est is the gradient-norm ratio |grad S| / |grad v| (matches the
-    H1-critical rescaling and is phase-insensitive).  profile_err is the
-    relative L2 distance between L*|v(L xi)|, spectrally resampled and
-    recentered at the amplitude maximum, and the ground profile S.
-    """
-    v.require_space(PHYSICAL)
-    gn = grad_norm_spectrum(fft2(v.values), v.grid)
-    if gn == 0:
-        raise UndefinedScaleError("cannot estimate a focusing scale for a constant field")
-    S = ground.S
-    gS = grad_norm_spectrum(fft2(S.values.astype(np.complex128)), S.grid)
-    L_est = gS / gn
-
-    idx = np.unravel_index(np.argmax(np.abs(v.values)), v.values.shape)
-    resampled = L_est * _resample_modulus(v, L_est, idx[0], idx[1], S.grid)
-    diff = l2_norm_values(resampled - np.abs(S.values), S.grid)
-    return L_est, diff / l2_norm_values(S.values, S.grid)

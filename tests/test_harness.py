@@ -12,6 +12,7 @@ from dsalpha.harness import (
     read_diagnostics_csv,
     run_simulation,
     sweep_alpha,
+    write_csv,
     write_diagnostics_csv,
 )
 from dsalpha.snapshots import read_snapshot, write_snapshot
@@ -138,6 +139,19 @@ class TestRunSimulation:
         )
 
 
+class TestAtomicArtifacts:
+    def test_failed_csv_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, "a,b", [(1.0, 2.0), (3.0, 4.0)])
+        before = path.read_bytes()
+        # the second row cannot be formatted: the write fails after the
+        # header and the first row have gone out
+        with pytest.raises(ValueError):
+            write_csv(path, "a,b", [(5.0, 6.0), ("not a number", 7.0)])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+
 class TestSweep:
     def test_rows_sorted_and_deterministic(self, tmp_path):
         cfg = base_config(tmp_path, t_end=0.1, reduced_t_end=1.0)
@@ -194,12 +208,44 @@ output.dir = {out}
 """
 
 
+UNSTABLE_IFRK4_CONFIG = """
+model.kind = dse
+model.beta = 1.0
+model.rho = -1.0
+model.nu = 1.0
+grid.nx = 128
+grid.ny = 128
+grid.lx = 16
+grid.ly = 16
+step.dt = 0.01
+step.dt_max = 0.01
+step.adaptive = false
+step.stepper = ifrk4
+step.t_end = 1.0
+ic.amplitude = 2.2
+ic.width = 1.2
+ic.chirp = 0.1
+output.record_every = 5
+output.dir = {out}
+"""
+
+
 class TestCli:
     def test_simulate_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out"))
         assert cli_main(["simulate", str(cfg)]) == 0
         assert "status=reached_t_end" in capsys.readouterr().out
+
+    def test_numerical_instability_exit_zero(self, tmp_path, capsys):
+        # fixed-step IFRK4 past its stability limit: a scientific outcome,
+        # reported in the status line, not a blow-up and not an error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(UNSTABLE_IFRK4_CONFIG.format(out=tmp_path / "out"))
+        assert cli_main(["simulate", str(cfg)]) == 0
+        assert "status=numerical_instability" in capsys.readouterr().out
+        recs = read_diagnostics_csv(tmp_path / "out" / "diagnostics.csv")
+        assert recs[-1].t < 1.0
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsalpha import (
     Grid2D,
@@ -7,16 +9,14 @@ from dsalpha import (
     ModelSpec,
     ParameterError,
     complex_field,
-    compute_aux,
-    grad_norm,
     hamiltonian,
     l2_norm,
     mass,
-    nonlinearity,
 )
 import dsalpha.models as models_mod
 from dsalpha.harness import gaussian_state
 from dsalpha.models import potential_values
+from dsalpha.spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2, l2_norm_values
 from conftest import count_calls, random_complex
 
 ALL_KINDS = [ModelKind.DSE, ModelKind.RDS1, ModelKind.RDS2, ModelKind.RDS3]
@@ -44,53 +44,77 @@ class TestModelSpec:
         assert ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1).in_regime
 
 
+def aux_arrays(v, spec):
+    """The auxiliary fields of models' shared pipeline, by name."""
+    g = v.grid
+    intensity, ih, uh = models_mod._dealiased_intensity(fft2(v.values), g, spec)
+    vel_x, vel_y = models_mod._mean_flow(ih, uh, g, spec)
+    return {
+        "intensity": intensity,
+        "ueff": models_mod._ueff(intensity, uh, spec),
+        "pot": models_mod._pot(ih, uh, g, spec),
+        "vel_x": vel_x,
+        "vel_y": vel_y,
+    }
+
+
 class TestComputeAux:
+    """The auxiliary subsystem, seen through potential_values: with beta = 1,
+    rho = 0 the potential is u_eff, with beta = 0, rho = -1 it is pot."""
+
     @pytest.mark.parametrize("kind", [ModelKind.RDS1, ModelKind.RDS2, ModelKind.RDS3])
     def test_constant_field(self, grid_small, kind):
+        g = grid_small
         c = 1.5 - 0.5j
-        v = complex_field(grid_small, np.full((64, 64), c))
-        aux = compute_aux(v, spec_for(kind))
-        assert np.max(np.abs(aux.u.values - abs(c) ** 2)) < 1e-12
-        assert np.max(np.abs(aux.pot.values)) < 1e-12
+        v = np.full((64, 64), c)
+        ueff = potential_values(v, g, spec_for(kind, beta=1.0, rho=0.0))
+        pot = potential_values(v, g, spec_for(kind, beta=0.0, rho=-1.0))
+        assert np.max(np.abs(ueff - abs(c) ** 2)) < 1e-12
+        assert np.max(np.abs(pot)) < 1e-12
 
     def test_plane_wave_same_as_constant(self, grid_small):
         g = grid_small
         c = 0.8 + 0.1j
-        v = complex_field(g, c * np.exp(1j * g.kx[2] * g.xg))
-        aux = compute_aux(v, spec_for(ModelKind.RDS3))
-        assert np.max(np.abs(aux.u.values - abs(c) ** 2)) < 1e-12
-        assert np.max(np.abs(aux.pot.values)) < 1e-12
+        v = c * np.exp(1j * g.kx[2] * g.xg)
+        ueff = potential_values(v, g, spec_for(ModelKind.RDS3, beta=1.0, rho=0.0))
+        pot = potential_values(v, g, spec_for(ModelKind.RDS3, beta=0.0, rho=-1.0))
+        assert np.max(np.abs(ueff - abs(c) ** 2)) < 1e-12
+        assert np.max(np.abs(pot)) < 1e-12
 
     def test_rds3_pot_contraction(self, grid_medium):
-        # |pot|_2 <= ||v|^2|_2 from the composed multiplier bounds
-        v = gaussian_state(grid_medium, 1.3, 1.5)
-        aux = compute_aux(v, spec_for(ModelKind.RDS3))
-        assert l2_norm(aux.pot) <= l2_norm(aux.intensity) + 1e-14
+        # |pot|_2 <= ||v_d|^2|_2 from the composed multiplier bounds; with
+        # beta = 0 and rho = -1 the potential is pot itself
+        g = grid_medium
+        v = gaussian_state(g, 1.3, 1.5).values
+        pot = potential_values(v, g, spec_for(ModelKind.RDS3, beta=0.0, rho=-1.0))
+        vd = ifft2(dealias_spectrum(fft2(v), g))
+        intensity = (vd * vd.conj()).real
+        assert l2_norm_values(pot, g) <= l2_norm_values(intensity, g) + 1e-14
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_flow_and_hamiltonian_share_the_aux_pipeline(self, grid_medium, rng, kind):
         # the phase substep and the monitored Hamiltonian must see exactly the
-        # fields compute_aux reports, bit for bit
+        # fields of the shared auxiliary pipeline, bit for bit
         g = grid_medium
         spec = spec_for(kind, nu=1.3)
         v = complex_field(g, random_complex(rng, g))
-        aux = compute_aux(v, spec)
+        aux = aux_arrays(v, spec)
         p = potential_values(v.values, g, spec)
-        assert np.array_equal(p, spec.beta * aux.ueff.values - spec.rho * aux.pot.values)
+        assert np.array_equal(p, spec.beta * aux["ueff"] - spec.rho * aux["pot"])
         da = g.cell_area
-        quartic = np.sum(aux.ueff.values * aux.intensity.values) * da
-        flow = np.sum(aux.vel_x.values**2 + spec.nu * aux.vel_y.values**2) * da
-        gradsq = grad_norm(v) ** 2
+        quartic = np.sum(aux["ueff"] * aux["intensity"]) * da
+        flow = np.sum(aux["vel_x"] ** 2 + spec.nu * aux["vel_y"] ** 2) * da
+        gradsq = grad_norm_spectrum(fft2(v.values), g) ** 2
         expected = float(gradsq - 0.5 * spec.beta * quartic + 0.5 * spec.rho * flow)
         assert hamiltonian(v, spec) == expected
 
     def test_velocities_mean_free(self, grid_medium):
         v = gaussian_state(grid_medium, 1.0, 2.0)
         for kind in ALL_KINDS:
-            aux = compute_aux(v, spec_for(kind))
+            aux = aux_arrays(v, spec_for(kind))
             da = grid_medium.cell_area
-            assert abs(np.sum(aux.vel_x.values) * da) < 1e-11
-            assert abs(np.sum(aux.vel_y.values) * da) < 1e-11
+            assert abs(np.sum(aux["vel_x"]) * da) < 1e-11
+            assert abs(np.sum(aux["vel_y"]) * da) < 1e-11
 
 
 def _dft_matrix(n):
@@ -99,8 +123,9 @@ def _dft_matrix(n):
     return np.exp(-2j * np.pi * np.outer(m, j) / n) / np.sqrt(n)
 
 
-def _oracle_nonlinearity(v, grid, spec):
-    """Direct-summation DFT oracle mirroring the dealiased product pipeline."""
+def _oracle_potential(v, grid, spec):
+    """Direct-summation DFT oracle for the potential P = beta*u_eff - rho*pot
+    of the dealiased product pipeline."""
     fx = _dft_matrix(grid.nx)
     fy = _dft_matrix(grid.ny)
 
@@ -138,67 +163,93 @@ def _oracle_nonlinearity(v, grid, spec):
         pot = idft(bsym * esym * bsym * ih).real
     else:
         pot = idft(esym * ih).real
-    return (spec.beta * ueff - spec.rho * pot) * vd
+    return spec.beta * ueff - spec.rho * pot
 
 
 class TestNonlinearity:
+    """F(v) = P*v with the real potential P = potential_values(v)."""
+
     def test_zero_maps_to_zero(self, grid_small):
-        v = complex_field(grid_small, np.zeros((64, 64)))
-        assert np.all(nonlinearity(v, spec_for(ModelKind.RDS3)).values == 0)
+        v = np.zeros((64, 64), dtype=complex)
+        assert np.all(potential_values(v, grid_small, spec_for(ModelKind.RDS3)) == 0)
 
     def test_constant_rds3(self, grid_small):
         c = 1.1 + 0.7j
-        v = complex_field(grid_small, np.full((64, 64), c))
-        out = nonlinearity(v, spec_for(ModelKind.RDS3))
-        assert np.max(np.abs(out.values - 1.0 * abs(c) ** 2 * c)) < 1e-12
+        v = np.full((64, 64), c)
+        p = potential_values(v, grid_small, spec_for(ModelKind.RDS3))
+        assert np.max(np.abs(p * c - 1.0 * abs(c) ** 2 * c)) < 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_against_direct_dft_oracle(self, kind):
         g = Grid2D(16, 16, 12.0, 12.0)
         v = gaussian_state(g, 1.2, 1.5, center=(0.4, -0.6), chirp=0.1)
         spec = spec_for(kind)
-        got = nonlinearity(v, spec).values
-        want = _oracle_nonlinearity(v.values, g, spec)
+        got = potential_values(v.values, g, spec)
+        want = _oracle_potential(v.values, g, spec)
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_gauge_invariance_quarter_turns(self, grid_medium, rng):
-        # the continuum identity is exact; the transforms reorder floating
-        # point operations, so near-machine agreement is the sharp statement
-        v = complex_field(grid_medium, random_complex(rng, grid_medium))
+        # F(phase*v) = phase*F(v) means P(phase*v) = P(v); the continuum
+        # identity is exact, the transforms reorder floating point
+        # operations, so near-machine agreement is the sharp statement
+        g = grid_medium
+        v = random_complex(rng, g)
         spec = spec_for(ModelKind.RDS3)
-        base = nonlinearity(v, spec).values
+        base = potential_values(v, g, spec)
         scale = np.max(np.abs(base))
         for phase in (1j, -1.0, -1j):
-            rotated = complex_field(grid_medium, phase * v.values)
-            diff = np.max(np.abs(nonlinearity(rotated, spec).values - phase * base))
+            diff = np.max(np.abs(potential_values(phase * v, g, spec) - base))
             assert diff < 1e-14 * scale
 
     def test_gauge_invariance_generic_angle(self, grid_medium, rng):
-        v = complex_field(grid_medium, random_complex(rng, grid_medium))
+        g = grid_medium
+        v = random_complex(rng, g)
         spec = spec_for(ModelKind.RDS2)
-        base = nonlinearity(v, spec).values
-        ph = np.exp(0.7343j)
-        rotated = complex_field(grid_medium, ph * v.values)
-        diff = np.max(np.abs(nonlinearity(rotated, spec).values - ph * base))
+        base = potential_values(v, g, spec)
+        diff = np.max(np.abs(potential_values(np.exp(0.7343j) * v, g, spec) - base))
         assert diff < 1e-12 * np.max(np.abs(base))
 
     @pytest.mark.parametrize("kind", [ModelKind.RDS1, ModelKind.RDS2, ModelKind.RDS3])
     def test_alpha_to_zero_second_order(self, grid_medium, kind):
-        # |F_alpha(v) - F_dse(v)| = O(alpha^2): halving alpha quarters the gap
-        v = gaussian_state(grid_medium, 1.1, 1.7)
-        dse = nonlinearity(v, ModelSpec(ModelKind.DSE, 1.0, -1.0, 1.0)).values
+        # |P_alpha(v) - P_dse(v)| = O(alpha^2): halving alpha quarters the gap
+        g = grid_medium
+        v = gaussian_state(g, 1.1, 1.7).values
+        dse = potential_values(v, g, ModelSpec(ModelKind.DSE, 1.0, -1.0, 1.0))
         gaps = []
         for alpha in (0.2, 0.1):
-            out = nonlinearity(v, ModelSpec(kind, 1.0, -1.0, 1.0, alpha)).values
-            gaps.append(l2_norm(complex_field(grid_medium, out - dse)))
+            out = potential_values(v, g, ModelSpec(kind, 1.0, -1.0, 1.0, alpha))
+            gaps.append(l2_norm_values(out - dse, g))
         assert 3.5 < gaps[0] / gaps[1] < 4.5
 
     def test_mass_conservation_mechanism(self, grid_medium):
-        # Im int F(v) conj(v) = 0 since both potentials are real
-        v = gaussian_state(grid_medium, 1.4, 1.2, chirp=0.3)
-        F = nonlinearity(v, spec_for(ModelKind.RDS3)).values
-        val = np.sum(F * np.conj(v.values)) * grid_medium.cell_area
+        # Im int F(v) conj(v) = 0 since the potential is real
+        v = gaussian_state(grid_medium, 1.4, 1.2, chirp=0.3).values
+        p = potential_values(v, grid_medium, spec_for(ModelKind.RDS3))
+        assert np.isrealobj(p)
+        val = np.sum(p * v * np.conj(v)) * grid_medium.cell_area
         assert abs(val.imag) < 1e-10 * abs(val.real)
+
+
+class TestPotentialProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        beta=st.floats(-3.0, 3.0, allow_subnormal=False),
+        rho=st.floats(-3.0, 3.0, allow_subnormal=False),
+        nu=st.floats(0.05, 5.0),
+        alpha=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_dft_oracle(self, kind, beta, rho, nu, alpha, seed):
+        # the running potential against the composed-operator oracle over
+        # the whole parameter space, on random (unsmooth) 16^2 states
+        g = Grid2D(16, 16, 12.0, 12.0)
+        rng = np.random.default_rng(seed)
+        v = random_complex(rng, g)
+        spec = spec_for(kind, beta=beta, rho=rho, nu=nu, alpha=alpha)
+        got = potential_values(v, g, spec)
+        want = _oracle_potential(v, g, spec)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestMassAndHamiltonian:

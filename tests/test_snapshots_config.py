@@ -1,3 +1,6 @@
+import builtins
+import errno
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, SnapshotFormatErr
 from dsalpha.cli import main as cli_main
 from dsalpha.config import load_config, parse_kv_file
 from dsalpha.ground_state import PetviashviliConfig
+import dsalpha.snapshots as snapshots_mod
 from dsalpha.snapshots import MAGIC, read_snapshot, write_snapshot
 from dsalpha.stepping import StepControl
 from conftest import random_complex
@@ -17,7 +21,41 @@ def spec():
     return ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.3, 0.25)
 
 
+class _DiskFullAfterFirstWrite:
+    """A file whose second write fails as it would on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+
 class TestSnapshots:
+    def test_failed_payload_write_keeps_earlier_file(self, tmp_path, rng, spec, monkeypatch):
+        g = Grid2D(16, 16, 4.0, 4.0)
+        path = tmp_path / "state.snap"
+        write_snapshot(path, complex_field(g, random_complex(rng, g)), 0.5, spec)
+        before = path.read_bytes()
+        monkeypatch.setattr(snapshots_mod, "open",
+                            lambda *a, **k: _DiskFullAfterFirstWrite(builtins.open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_snapshot(path, complex_field(g, random_complex(rng, g)), 1.0, spec)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["state.snap"]
+
     def test_bit_exact_round_trip(self, tmp_path, rng, spec):
         g = Grid2D(32, 16, 8.0, 4.0)
         f = complex_field(g, rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)))
