@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import load_config, parse_alphas
 from .errors import ConfigError, DsalphaError, InsufficientDataError, SnapshotFormatError
 from .harness import (
     build_spec,
@@ -100,13 +100,7 @@ def _cmd_modulation(args):
 
 def _cmd_sweep(args):
     cfg = load_config(args.config)
-    if args.alphas:
-        try:
-            alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-        except ValueError:
-            raise ConfigError(f"--alphas: cannot parse {args.alphas!r}")
-    else:
-        alphas = cfg.sweep_alphas
+    alphas = parse_alphas(args.alphas, "--alphas") if args.alphas else cfg.sweep_alphas
     rows, path = sweep_alpha(cfg, alphas)
     print(f"sweep: {len(rows)} rows -> {path}")
     return 0

@@ -1,9 +1,10 @@
 """Flat key=value run configuration.
 
 The format is deliberately parser-free: one "dotted.key = value" pair per
-line, "#" starts a comment.  A key not listed here is an error, and so is
-an invalid value in any section: every setting is checked here, at load,
-by the object it configures.  Recognized keys (defaults in brackets):
+line, "#" starts a comment.  A key not listed here is an error, and so are
+a repeated key, a non-finite number (nan, inf) and an invalid value in any
+section: every setting is checked here, at load, by the object it
+configures.  Recognized keys (defaults in brackets):
 
     model.kind              dse | rds1 | rds2 | rds3
     model.beta  model.rho   reals
@@ -46,6 +47,7 @@ by the object it configures.  Recognized keys (defaults in brackets):
     sweep.alphas            comma-separated alpha list (CLI --alphas overrides)
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -61,7 +63,7 @@ from .stepping import StepControl
 def parse_kv_file(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    pairs = {}
+    pairs, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.split("#", 1)[0].strip()
@@ -69,8 +71,10 @@ def parse_kv_file(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, value = stripped.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in pairs:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            pairs[key], first_line[key] = value, lineno
     return pairs
 
 
@@ -83,15 +87,31 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _finite(raw: str) -> float:
+    """The float cast of every config number: nan and inf are errors."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def parse_alphas(raw: str, source: str) -> List[float]:
+    """A comma-separated list of finite alphas (sweep.alphas, --alphas)."""
+    try:
+        return [_finite(a) for a in raw.split(",") if a.strip()]
+    except ValueError:
+        raise ConfigError(f"{source}: cannot parse {raw!r} as finite numbers") from None
+
+
 _REQUIRED = object()
 
 # the config keys step.<field> and ground.<field>, with their casts
-_STEP_CASTS = {"dt": float, "dt_min": float, "dt_max": float, "adaptive": _bool,
-               "cfl_const": float, "t_end": float, "amp_max": float}
-_GROUND_CASTS = {"gamma": float, "tol": float, "max_iter": int, "continuation_steps": int}
+_STEP_CASTS = {"dt": _finite, "dt_min": _finite, "dt_max": _finite, "adaptive": _bool,
+               "cfl_const": _finite, "t_end": _finite, "amp_max": _finite}
+_GROUND_CASTS = {"gamma": _finite, "tol": _finite, "max_iter": int, "continuation_steps": int}
 
 
-def _take(pairs, key, default=_REQUIRED, cast=float):
+def _take(pairs, key, default=_REQUIRED, cast=_finite):
     """Remove key from pairs and return its value cast, or the default."""
     if key not in pairs:
         if default is _REQUIRED:
@@ -206,11 +226,7 @@ def load_config(path) -> RunConfig:
         )
         _build("ground", Grid2D, *cfg.ground_grid)
     if "sweep.alphas" in pairs:
-        raw = pairs.pop("sweep.alphas")
-        try:
-            cfg.sweep_alphas = [float(a) for a in raw.split(",") if a.strip()]
-        except ValueError:
-            raise ConfigError(f"sweep.alphas: cannot parse {raw!r}")
+        cfg.sweep_alphas = parse_alphas(pairs.pop("sweep.alphas"), "sweep.alphas")
     if pairs:
         raise ConfigError("unknown config key " + ", ".join(repr(k) for k in sorted(pairs)))
 

@@ -49,14 +49,22 @@ def write_diagnostics_csv(path, records: List[DiagnosticsRecord]) -> None:
 
 
 def read_diagnostics_csv(path) -> List[DiagnosticsRecord]:
+    """The records of a diagnostics CSV; blank lines are skipped, and any
+    other row that is not seven numbers is a ConfigError naming path:line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected diagnostics header in {path}: {header!r}")
-        for line in fh:
-            vals = [float(v) for v in line.strip().split(",")]
-            records.append(DiagnosticsRecord(*vals))
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                records.append(DiagnosticsRecord(*(float(v) for v in line.split(","))))
+            except (ValueError, TypeError):  # a non-number; a row of the wrong length
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 7 numbers, got {line.strip()!r}"
+                ) from None
     return records
 
 

@@ -44,6 +44,9 @@ from .ground_state import GroundState, symmetrize_even
 from .models import ModelKind, ModelSpec
 from .spectral import fft2, ifft2, l2_norm_values
 
+# Samples kept of a reduced trajectory that t_eval does not fix.
+MAX_SAMPLES = 4000
+
 
 @dataclass
 class ModulationConstants:
@@ -73,14 +76,10 @@ class ReducedState:
     b: float
     eps: float
 
-    @property
-    def a(self) -> float:
-        return -self.L_t * self.L
-
     @classmethod
     def initial(cls, L0: float, Lt0: float, alpha: float,
                 b0: Optional[float] = None) -> "ReducedState":
-        """Initial reduced data; b0 defaults to a^2 (zero initial a_tau)."""
+        """Initial reduced data; b0 defaults to a^2 = (L0 Lt0)^2 (zero initial a_tau)."""
         if L0 <= 0:
             raise ParameterError("initial scale L0 must be positive")
         if b0 is None:
@@ -236,7 +235,6 @@ def integrate_reduced(
     L0: float,
     Lt0: float,
     t_end: float,
-    max_samples: int = 4000,
     t_eval=None,
 ) -> ReducedTrajectory:
     """Integrate the boundary-case scale ODE.
@@ -289,10 +287,10 @@ def integrate_reduced(
     if np.any(ys[0] <= 0):
         raise ConvergenceError("reduced ODE reached L <= 0 (step-size failure)")
 
-    # thin to at most max_samples, always keeping the endpoints
+    # thin to at most MAX_SAMPLES, always keeping the endpoints
     idx = np.arange(len(ts))
-    if t_eval is None and len(ts) > max_samples:
-        idx = np.unique(np.linspace(0, len(ts) - 1, max_samples).astype(int))
+    if t_eval is None and len(ts) > MAX_SAMPLES:
+        idx = np.unique(np.linspace(0, len(ts) - 1, MAX_SAMPLES).astype(int))
 
     q0 = reduced_first_integral(constants, alpha, L0, Lt0)
     states = []

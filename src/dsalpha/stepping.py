@@ -93,6 +93,7 @@ class RunOutcome:
     status: RunStatus
     t_final: float
     records: List[DiagnosticsRecord]
+    final_state: Field
     max_mass_drift: float = 0.0
     steps: int = 0
 
@@ -119,6 +120,12 @@ def ifrk4_step(v: Field, spec: ModelSpec, dt: float) -> Field:
     k4 = rhs(wh + dt * k3, full)
     wh = wh + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return Field(g, ifft2(wh * full))
+
+
+def _mass_and_peak(values, da):
+    """Mass and max|v|^2 from one |v|^2 pass (mass drift, amplitude test, dt)."""
+    intensity = (values * values.conj()).real
+    return np.sum(intensity) * da, float(np.max(intensity))
 
 
 def _record(g, spec, t, dt, values, grad_ref):
@@ -169,7 +176,7 @@ def integrate(
 
     values = np.array(v0.values, dtype=np.complex128, copy=True)
     t = 0.0
-    m0 = np.sum((values * values.conj()).real) * da
+    m0, amp2 = _mass_and_peak(values, da)
     amp0 = float(np.max(np.abs(values)))
     amp_max = control.amp_max if control.amp_max is not None else 1e6 * max(amp0, 1e-300)
     if grad_ref is None:
@@ -208,7 +215,6 @@ def integrate(
 
     while t < control.t_end:
         if control.adaptive:
-            amp2 = float(np.max((values * values.conj()).real))
             dt_raw = control.cfl_const / amp2 if amp2 > 0 else control.dt_max
             if dt_raw >= control.dt_max:
                 dt = control.dt_max
@@ -244,12 +250,12 @@ def integrate(
             overflowed = True
             break
 
-        m = np.sum((values * values.conj()).real) * da
+        m, amp2 = _mass_and_peak(values, da)
         if m0 > 0:
             max_drift = max(max_drift, abs(m - m0) / m0)
         if max_drift > MAX_MASS_DRIFT:
             status = RunStatus.NUMERICAL_INSTABILITY
-        elif float(np.max(np.abs(values))) > amp_max:
+        elif amp2 > amp_max**2:
             status = RunStatus.BLOW_UP_DETECTED
         if status is not RunStatus.REACHED_T_END:
             close_half()
@@ -269,13 +275,12 @@ def integrate(
     if not overflowed and records[-1].t != t:
         records.append(_record(g, spec, t, dt_last, values, grad_ref))
 
-    out = RunOutcome(
+    return RunOutcome(
         status=status,
         t_final=t,
         records=records,
+        final_state=Field(g, values),
         max_mass_drift=max_drift,
         steps=steps,
     )
-    out.final_state = Field(g, values)
-    return out
 

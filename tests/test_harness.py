@@ -7,6 +7,7 @@ from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, RunStatus, comple
 from dsalpha.cli import main as cli_main
 from dsalpha.config import RunConfig, load_config
 from dsalpha.harness import (
+    CSV_HEADER,
     gaussian_amplitude_for_mass,
     gaussian_state,
     read_diagnostics_csv,
@@ -285,10 +286,22 @@ class TestCli:
         ]
         path = tmp_path / "diag.csv"
         write_diagnostics_csv(path, recs)
+        with open(path, "a") as fh:
+            fh.write("\n")  # a trailing blank line is skipped
         assert cli_main(["fit", str(path)]) == 0
         out = capsys.readouterr().out
         assert "exponent=" in out
         assert (tmp_path / "diag_b_of_tau.csv").exists()
+
+    @pytest.mark.parametrize("row", ["0.5,1e-3,1,0,2,1,oops", "0.5,1e-3,1,0,2,1",
+                                     "0.5,1e-3,1,0,2,1,0.5,9"])
+    def test_fit_malformed_csv_exit_two(self, tmp_path, capsys, row):
+        # an input-format error names path:line; inf (L_est at zero
+        # gradient) is a number, and blank lines are skipped
+        path = tmp_path / "diag.csv"
+        path.write_text(f"{CSV_HEADER}\n0,1e-3,1,0,0,1,inf\n\n{row}\n")
+        assert cli_main(["fit", str(path)]) == 2
+        assert f"{path}:4: expected 7 numbers" in capsys.readouterr().err
 
     def test_fit_insufficient_data_exit_two(self, tmp_path):
         from dsalpha.stepping import DiagnosticsRecord

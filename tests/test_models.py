@@ -44,20 +44,6 @@ class TestModelSpec:
         assert ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1).in_regime
 
 
-def aux_arrays(v, spec):
-    """The auxiliary fields of models' shared pipeline, by name."""
-    g = v.grid
-    intensity, ih, uh = models_mod._dealiased_intensity(fft2(v.values), g, spec)
-    vel_x, vel_y = models_mod._mean_flow(ih, uh, g, spec)
-    return {
-        "intensity": intensity,
-        "ueff": models_mod._ueff(intensity, uh, spec),
-        "pot": models_mod._pot(ih, uh, g, spec),
-        "vel_x": vel_x,
-        "vel_y": vel_y,
-    }
-
-
 class TestComputeAux:
     """The auxiliary subsystem, seen through potential_values: with beta = 1,
     rho = 0 the potential is u_eff, with beta = 0, rho = -1 it is pot."""
@@ -92,29 +78,20 @@ class TestComputeAux:
         assert l2_norm_values(pot, g) <= l2_norm_values(intensity, g) + 1e-14
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_flow_and_hamiltonian_share_the_aux_pipeline(self, grid_medium, rng, kind):
-        # the phase substep and the monitored Hamiltonian must see exactly the
-        # fields of the shared auxiliary pipeline, bit for bit
+    def test_flow_and_hamiltonian_share_the_aux_pipeline(self, grid_medium, kind):
+        # the monitored Hamiltonian is |grad v|^2 - (1/2) int I P with I and P
+        # exactly the arrays of the phase substep, bit for bit; a focusing
+        # state makes the interaction as large as the gradient term, so a
+        # second pipeline would show in the last bits
         g = grid_medium
         spec = spec_for(kind, nu=1.3)
-        v = complex_field(g, random_complex(rng, g))
-        aux = aux_arrays(v, spec)
+        v = gaussian_state(g, 2.0, 1.5, chirp=0.2)
         p = potential_values(v.values, g, spec)
-        assert np.array_equal(p, spec.beta * aux["ueff"] - spec.rho * aux["pot"])
-        da = g.cell_area
-        quartic = np.sum(aux["ueff"] * aux["intensity"]) * da
-        flow = np.sum(aux["vel_x"] ** 2 + spec.nu * aux["vel_y"] ** 2) * da
+        vd = ifft2(dealias_spectrum(fft2(v.values), g))
+        intensity = (vd * vd.conj()).real
         gradsq = grad_norm_spectrum(fft2(v.values), g) ** 2
-        expected = float(gradsq - 0.5 * spec.beta * quartic + 0.5 * spec.rho * flow)
+        expected = float(gradsq - 0.5 * np.sum(intensity * p) * g.cell_area)
         assert hamiltonian(v, spec) == expected
-
-    def test_velocities_mean_free(self, grid_medium):
-        v = gaussian_state(grid_medium, 1.0, 2.0)
-        for kind in ALL_KINDS:
-            aux = aux_arrays(v, spec_for(kind))
-            da = grid_medium.cell_area
-            assert abs(np.sum(aux["vel_x"]) * da) < 1e-11
-            assert abs(np.sum(aux["vel_y"]) * da) < 1e-11
 
 
 def _dft_matrix(n):
@@ -123,9 +100,13 @@ def _dft_matrix(n):
     return np.exp(-2j * np.pi * np.outer(m, j) / n) / np.sqrt(n)
 
 
-def _oracle_potential(v, grid, spec):
-    """Direct-summation DFT oracle for the potential P = beta*u_eff - rho*pot
-    of the dealiased product pipeline."""
+def _dft_oracle(v, grid, spec):
+    """Direct-summation DFT oracle of the dealiased product pipeline.
+
+    Returns (P, H, |grad v|^2): the potential P = beta*u_eff - rho*pot and
+    the Hamiltonian in its mean-flow form |grad v|^2 - (beta/2) int u_eff I
+    + (rho/2) int (w_x^2 + nu w_y^2), with the velocities of w = phi (DSE,
+    RDS1) or w = psi (RDS2, RDS3) built explicitly."""
     fx = _dft_matrix(grid.nx)
     fy = _dft_matrix(grid.ny)
 
@@ -151,8 +132,10 @@ def _oracle_potential(v, grid, spec):
     bsym = 1.0 / (1.0 + spec.alpha**2 * k2)
     denom = kxg**2 + spec.nu * kyg**2
     esym = np.divide(kxg**2, denom, out=np.zeros_like(denom), where=denom > 0)
+    exy = np.divide(kxg * kyg, denom, out=np.zeros_like(denom), where=denom > 0)
 
-    vd = idft(cut(dft(v)))
+    vh = dft(v)
+    vd = idft(cut(vh))
     intensity = (vd * vd.conj()).real
     ih = cut(dft(intensity))
     if spec.kind in (ModelKind.RDS1, ModelKind.RDS3):
@@ -161,9 +144,18 @@ def _oracle_potential(v, grid, spec):
         ueff = intensity
     if spec.kind in (ModelKind.RDS2, ModelKind.RDS3):
         pot = idft(bsym * esym * bsym * ih).real
+        fh = bsym * ih  # Delta_nu psi = B(I)_x
     else:
         pot = idft(esym * ih).real
-    return spec.beta * ueff - spec.rho * pot
+        fh = ih  # Delta_nu phi = I_x
+    w_x = idft(esym * fh).real
+    w_y = idft(exy * fh).real
+
+    da = grid.cell_area
+    grad = np.sum(k2 * np.abs(vh) ** 2) * da
+    flow = np.sum(w_x**2 + spec.nu * w_y**2) * da
+    ham = grad - 0.5 * spec.beta * np.sum(ueff * intensity) * da + 0.5 * spec.rho * flow
+    return spec.beta * ueff - spec.rho * pot, ham, grad
 
 
 class TestNonlinearity:
@@ -185,7 +177,7 @@ class TestNonlinearity:
         v = gaussian_state(g, 1.2, 1.5, center=(0.4, -0.6), chirp=0.1)
         spec = spec_for(kind)
         got = potential_values(v.values, g, spec)
-        want = _oracle_potential(v.values, g, spec)
+        want = _dft_oracle(v.values, g, spec)[0]
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_gauge_invariance_quarter_turns(self, grid_medium, rng):
@@ -230,16 +222,20 @@ class TestNonlinearity:
         assert abs(val.imag) < 1e-10 * abs(val.real)
 
 
+# every kind over the whole parameter space, on a random (unsmooth) 16^2 state
+_DRAWS = dict(
+    kind=st.sampled_from(ALL_KINDS),
+    beta=st.floats(-3.0, 3.0, allow_subnormal=False),
+    rho=st.floats(-3.0, 3.0, allow_subnormal=False),
+    nu=st.floats(0.05, 5.0),
+    alpha=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestPotentialProperty:
     @settings(max_examples=60, deadline=None)
-    @given(
-        kind=st.sampled_from(ALL_KINDS),
-        beta=st.floats(-3.0, 3.0, allow_subnormal=False),
-        rho=st.floats(-3.0, 3.0, allow_subnormal=False),
-        nu=st.floats(0.05, 5.0),
-        alpha=st.floats(0.01, 2.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**_DRAWS)
     def test_matches_direct_dft_oracle(self, kind, beta, rho, nu, alpha, seed):
         # the running potential against the composed-operator oracle over
         # the whole parameter space, on random (unsmooth) 16^2 states
@@ -248,8 +244,20 @@ class TestPotentialProperty:
         v = random_complex(rng, g)
         spec = spec_for(kind, beta=beta, rho=rho, nu=nu, alpha=alpha)
         got = potential_values(v, g, spec)
-        want = _oracle_potential(v, g, spec)
+        want = _dft_oracle(v, g, spec)[0]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_DRAWS)
+    def test_hamiltonian_matches_mean_flow_oracle(self, kind, beta, rho, nu, alpha, seed):
+        # H = |grad v|^2 - (1/2) int I P equals the mean-flow form, which
+        # the oracle builds from explicit velocities
+        g = Grid2D(16, 16, 12.0, 12.0)
+        v = random_complex(np.random.default_rng(seed), g)
+        spec = spec_for(kind, beta=beta, rho=rho, nu=nu, alpha=alpha)
+        _, want, grad = _dft_oracle(v, g, spec)
+        got = hamiltonian(complex_field(g, v), spec)
+        assert abs(got - want) <= 1e-12 * max(grad, abs(want - grad))
 
 
 class TestMassAndHamiltonian:
@@ -271,12 +279,11 @@ class TestMassAndHamiltonian:
             assert hamiltonian(v, spec_for(kind)) == 0.0
 
     @pytest.mark.parametrize("kind, transforms", [
-        (ModelKind.DSE, 5), (ModelKind.RDS1, 6), (ModelKind.RDS2, 5), (ModelKind.RDS3, 6),
+        (ModelKind.DSE, 4), (ModelKind.RDS1, 5), (ModelKind.RDS2, 4), (ModelKind.RDS3, 5),
     ])
     def test_hamiltonian_transforms_v_once(self, grid_small, rng, monkeypatch, kind, transforms):
         # one fft2 of v feeds both the gradient term and the intensity; the
-        # rest are the intensity pipeline (2), u_eff for RDS1/3 (1) and the
-        # mean flow (2)
+        # rest are the intensity pipeline (2), u_eff for RDS1/3 (1) and pot (1)
         v = complex_field(grid_small, random_complex(rng, grid_small))
         calls = count_calls(monkeypatch, models_mod, "fft2", "ifft2")
         hamiltonian(v, spec_for(kind))

@@ -164,7 +164,8 @@ class TestConfig:
 
     def test_missing_ic_file(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text(CONFIG_TEXT + "\nic.kind = file\nic.path = /nonexistent/x.snap\n")
+        p.write_text(CONFIG_TEXT.replace("ic.kind = gaussian", "ic.kind = file")
+                     + "\nic.path = /nonexistent/x.snap\n")
         with pytest.raises(ConfigError, match="not found"):
             load_config(p)
 
@@ -194,12 +195,30 @@ class TestConfig:
             "ground.gamma = 2.5",
             "ground.nx = 7",
             "reduced.l0 = -1",
+            "model.nu = nan",  # would zero every E symbol
+            "grid.lx = nan",
+            "step.t_end = nan",
+            "step.amp_max = inf",
+            "ground.tol = nan",
+            "ic.amplitude = -inf",
+            "sweep.alphas = 0.1,nan",
         ],
     )
     def test_invalid_value_rejected_at_load(self, tmp_path, line):
+        # line replaces the key's line in CONFIG_TEXT, if it has one
+        key = line.split("=")[0].strip()
+        kept = [ln for ln in CONFIG_TEXT.splitlines() if ln.split("=")[0].strip() != key]
         p = tmp_path / "bad.cfg"
-        p.write_text(CONFIG_TEXT + line + "\n")
+        p.write_text("\n".join(kept) + "\n" + line + "\n")
         with pytest.raises(ConfigError, match=line.split(".")[0]):
+            load_config(p)
+        assert cli_main(["simulate", str(p)]) == 2
+
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG_TEXT + "model.nu = 2.0\n")
+        repeat = CONFIG_TEXT.count("\n") + 1
+        with pytest.raises(ConfigError, match=f":{repeat}: key 'model.nu' repeats line 6"):
             load_config(p)
         assert cli_main(["simulate", str(p)]) == 2
 
