@@ -96,6 +96,14 @@ class Grid2D:
         """Symbol of (1 - Lap)^{-1}, the Petviashvili left inverse."""
         return self._cached(("inv1mlap",), lambda: 1.0 / (1.0 + self.k2))
 
+    def half_plane(self, sym):
+        """The rfft2 (ky >= 0) columns of a full-plane symbol, as a view.
+
+        Column ny/2 holds ky = -Nyquist, so this matches the rfft2 layout
+        for every symbol even in ky (k^2, E_xx and the inverses here).
+        """
+        return sym[:, : self.ny // 2 + 1]
+
     def _cached(self, key, build):
         sym = self._multiplier_cache.get(key)
         if sym is None:

@@ -10,23 +10,35 @@ stabilized by the Petviashvili factor M^gamma.  The nonlinearity is cubic
 is symmetrized to be even in both variables every sweep: this pins
 translation invariance and enforces the evenness under which the
 linearized solves downstream are well posed.  Each sweep evaluates S's
-spectrum and X = E(S^2) once, for the updated iterate, and uses them for its
-residual and the next sweep; the stored X is that of the returned S.
+spectrum, X = E(S^2) and the spectrum of the nonlinearity once, for the
+updated iterate, and uses them for its residual (in spectral space, by
+Plancherel) and the next sweep; the stored X is that of the returned S.
 
 Starting the coupled iteration cold at large |rho| can stagnate, so the
 solver continues in rho from the rho = 0 cubic ground state (the Townes
-profile) in equal steps.
+profile) in equal steps.  Only the last stage's state is returned, so the
+Townes stage and the intermediate rho stages stop at the looser tolerance
+max(tol, sqrt(tol)) and only the last stage runs to `tol`: the returned
+residual still meets `tol`, and each loose stage only has to hand the next
+one a start inside its basin of convergence (Pelinovsky & Stepanyants,
+SIAM J. Numer. Anal. 42, 2004).  With rho = 0 the single stage runs to tol.
+
+S, X and every product of them are real, so the solver runs on real
+transforms (rfft2/irfft2) with the ky >= 0 half plane of each cached symbol,
+and its spectral sums weight that half plane Hermitian-wise.
+residual_norm stays on complex transforms as the independent check.
 """
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateLimitError, ParameterError
 from .fields import Field, check_same_grid, real_field
 from .grid import Grid2D
-from .spectral import fft2, ifft2, l2_norm_values
+from .spectral import fft2, half_plane_sum, ifft2, irfft2, l2_norm_values, rfft2
 
 
 @dataclass
@@ -74,56 +86,61 @@ def symmetrize_even(a):
     return a
 
 
-def _spectrum_and_x(S, e_xx):
-    """(fft2(S), X = E(S^2)) of one profile."""
-    return fft2(S), ifft2(e_xx * fft2(S * S)).real
-
-
-def _residual_values(S, Sh, X, grid, beta, rho):
-    return ifft2(-grid.k2 * Sh).real - S + beta * S**3 - rho * S * X
-
-
 def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> float:
     """L2 defect of both steady equations.
 
     The second equation's defect vanishes identically when X = E(S^2); it
-    is still measured so that externally supplied pairs are checked.
+    is still measured so that externally supplied pairs are checked.  This
+    check runs on complex transforms in physical space, independently of
+    the solver's real transforms and spectral residual.
     """
     g = check_same_grid(S, X)
-    Sh, X_of_S = _spectrum_and_x(S.values, g.e_symbol(nu, "xx"))
-    r1 = _residual_values(S.values, Sh, X_of_S, g, beta, rho)
+    s = S.values
+    X_of_S = ifft2(g.e_symbol(nu, "xx") * fft2(s * s)).real
+    r1 = ifft2(-g.k2 * fft2(s)).real - s + beta * s**3 - rho * s * X_of_S
     # defect of Delta_nu X - (S^2)_xx
     lhs = ifft2(-(g.kxg**2 + nu * g.kyg**2) * fft2(X.values)).real
-    rhs = ifft2(-(g.kxg**2) * fft2(S.values**2)).real
+    rhs = ifft2(-(g.kxg**2) * fft2(s**2)).real
     return l2_norm_values(r1, g) + l2_norm_values(lhs - rhs, g)
 
 
 def _petviashvili(S, grid, beta, rho, nu, cfg):
     """Iterate at fixed parameters from S; returns (S, X = E(S^2), residual)."""
-    inv = grid.inverse_one_minus_laplacian_symbol()
-    e_xx = grid.e_symbol(nu, "xx")
+    inv = grid.half_plane(grid.inverse_one_minus_laplacian_symbol())
+    e_xx = grid.half_plane(grid.e_symbol(nu, "xx"))
+    one_minus_lap = 1.0 + grid.half_plane(grid.k2)
     scale0 = float(np.max(np.abs(S)))
-    residual = np.inf
-    Sh, X = _spectrum_and_x(S, e_xx)
+
+    def evaluate(S):
+        """S's spectrum, X = E(S^2), the nonlinearity's spectrum, residual.
+
+        The residual (1 - Lap) S - N(S) is measured in spectral space
+        (Plancherel), so N's spectrum serves both it and the next sweep.
+        """
+        Sh = rfft2(S)
+        X = irfft2(e_xx * rfft2(S * S), grid)
+        Nh = rfft2(beta * S**3 - rho * S * X)
+        defect = half_plane_sum(np.abs(Nh - one_minus_lap * Sh) ** 2)
+        return Sh, X, Nh, math.sqrt(defect * grid.cell_area)
+
+    Sh, X, Nh, residual = evaluate(S)
     for _ in range(cfg.max_iter):
-        Nh = fft2(beta * S**3 - rho * S * X)
-        denom = float(np.real(np.sum(np.conj(Sh) * Nh)))
+        denom = half_plane_sum((np.conj(Sh) * Nh).real)
         if denom <= 0:
             raise DegenerateLimitError(
                 "Petviashvili normalization lost positivity; "
                 "no focusing ground state at these parameters"
             )
-        M = float(np.sum((1.0 + grid.k2) * np.abs(Sh) ** 2)) / denom
-        S = symmetrize_even(M**cfg.gamma * ifft2(inv * Nh).real)
+        M = half_plane_sum(one_minus_lap * np.abs(Sh) ** 2) / denom
+        S = symmetrize_even(M**cfg.gamma * irfft2(inv * Nh, grid))
         if float(np.max(np.abs(S))) < 1e-8 * scale0:
             raise DegenerateLimitError("iterate collapsed to the trivial solution")
-        Sh, X = _spectrum_and_x(S, e_xx)
-        residual = l2_norm_values(_residual_values(S, Sh, X, grid, beta, rho), grid)
+        Sh, X, Nh, residual = evaluate(S)
         if residual < cfg.tol:
             return S, X, residual
     raise ConvergenceError(
-        f"Petviashvili did not reach tol={cfg.tol} in {cfg.max_iter} iterations "
-        f"(last residual {residual:.3e})",
+        f"Petviashvili stage rho={rho:g} did not reach tol={cfg.tol:g} in "
+        f"{cfg.max_iter} iterations (last residual {residual:.3e})",
         residual=residual,
     )
 
@@ -145,16 +162,20 @@ def solve_ground_state(
         )
     cfg = cfg or PetviashviliConfig()
 
-    # Townes-like seed; amplitude near the known peak value of the cubic profile
-    S, X, residual = _petviashvili(2.2 * np.exp(-grid.r2 / 2.0), grid, beta, 0.0, nu, cfg)
-    if rho != 0.0:
-        for k in range(1, cfg.continuation_steps + 1):
-            rho_k = rho * k / cfg.continuation_steps
-            S, X, residual = _petviashvili(S, grid, beta, rho_k, nu, cfg)
+    # the Townes seed stage, then rho in equal steps up to rho; only the
+    # last stage's state is kept, so the stages before it stop at sqrt(tol)
+    n = cfg.continuation_steps
+    earlier = [] if rho == 0.0 else [0.0] + [rho * k / n for k in range(1, n)]
+    loose = replace(cfg, tol=max(cfg.tol, math.sqrt(cfg.tol)))
+    # amplitude near the known peak value of the cubic profile
+    S = 2.2 * np.exp(-grid.r2 / 2.0)
+    for rho_k in earlier:
+        S, _, _ = _petviashvili(S, grid, beta, rho_k, nu, loose)
+    S, X, residual = _petviashvili(S, grid, beta, rho, nu, cfg)
 
     da = grid.cell_area
     f = S * S
-    grad_f_sq = float(np.sum(grid.k2 * np.abs(fft2(f)) ** 2) * da)
+    grad_f_sq = half_plane_sum(grid.half_plane(grid.k2) * np.abs(rfft2(f)) ** 2) * da
     return GroundState(
         S=real_field(grid, S),
         X=real_field(grid, X),

@@ -13,7 +13,9 @@ multiplier and the two solves become
 Both are solved by preconditioned MINRES restricted to fields even in each
 variable; the adjoint kernel of the full block system is spanned by odd
 (translation) modes, so the symmetry restriction enforces solvability
-orthogonality without constructing antiderivative fields.
+orthogonality without constructing antiderivative fields.  Every operand is
+real, so the operator, the preconditioner and the right-hand sides run on
+real transforms with the half-plane slices of the grid's symbols.
 
 The reduced scale dynamics integrates the saturated (equality) form of the
 modulation inequality,
@@ -42,7 +44,7 @@ from .errors import (
 from .fields import Field, real_field
 from .ground_state import GroundState, symmetrize_even
 from .models import ModelKind, ModelSpec
-from .spectral import fft2, ifft2, l2_norm_values
+from .spectral import irfft2, l2_norm_values, rfft2
 
 # Samples kept of a reduced trajectory that t_eval does not fix.
 MAX_SAMPLES = 4000
@@ -105,11 +107,20 @@ class ReducedTrajectory:
 
 @dataclass
 class LinearizedSolution:
+    """A GY or HZ correction pair with its solve's status.
+
+    residual is the relative residual of the first equation; info is
+    MINRES's exit code (0 converged, > 0 stopped at its iteration limit)
+    and iterations the number of MINRES iterations it made.
+    """
+
     first: Field
     second: Field
     mode: str
     residual: float
     inner_with_S: float
+    info: int
+    iterations: int
 
 
 _C2_COEFF = {
@@ -150,8 +161,9 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     S = ground.S.values
     X = ground.X.values
     beta, rho, nu = ground.beta, ground.rho, ground.nu
-    e_xx = g.e_symbol(nu, "xx")
-    k2 = g.k2
+    e_xx = g.half_plane(g.e_symbol(nu, "xx"))
+    k2 = g.half_plane(g.k2)
+    inv = g.half_plane(g.inverse_one_minus_laplacian_symbol())
     n = g.nx * g.ny
 
     f = S * S
@@ -159,9 +171,10 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     if mode == "GY":
         rhs = -0.25 * g.r2 * S
     else:
-        lap_f = ifft2(-k2 * fft2(f)).real
-        lap_X = ifft2(-k2 * fft2(X)).real
-        e_lap_f = ifft2(e_xx * fft2(lap_f)).real
+        lap_fh = -k2 * rfft2(f)
+        lap_f = irfft2(lap_fh, g)
+        lap_X = irfft2(-k2 * rfft2(X), g)
+        e_lap_f = irfft2(e_xx * lap_fh, g)
         rhs = -beta * S * lap_f + rho * S * lap_X + rho * S * e_lap_f
     rhs = symmetrize_even(rhs)
     rhs_norm = l2_norm_values(rhs, g)
@@ -170,18 +183,25 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
 
     def apply_a(u):
         u = u.reshape(g.nx, g.ny)
-        lap_u = ifft2(-k2 * fft2(u)).real
-        nonloc = S * ifft2(e_xx * fft2(S * u)).real
+        lap_u = irfft2(-k2 * rfft2(u), g)
+        nonloc = S * irfft2(e_xx * rfft2(S * u), g)
         return (lap_u - u + coeff * u - 2.0 * rho * nonloc).ravel()
 
-    inv = g.inverse_one_minus_laplacian_symbol()
-
     def apply_pre(u):
-        return ifft2(inv * fft2(u.reshape(g.nx, g.ny))).real.ravel()
+        return irfft2(inv * rfft2(u.reshape(g.nx, g.ny)), g).ravel()
+
+    iterations = 0
+
+    def count(xk):
+        nonlocal iterations
+        iterations += 1
 
     A = LinearOperator((n, n), matvec=apply_a, dtype=np.float64)
     P = LinearOperator((n, n), matvec=apply_pre, dtype=np.float64)
-    sol, _ = minres(A, rhs.ravel(), M=P, rtol=1e-12, maxiter=40 * int(math.isqrt(n)) + 20000)
+    sol, info = minres(A, rhs.ravel(), M=P, rtol=1e-12,
+                       maxiter=40 * int(math.isqrt(n)) + 20000, callback=count)
+    if info < 0:
+        raise ConvergenceError(f"linearized {mode} MINRES broke down (info={info})")
     first = symmetrize_even(sol.reshape(g.nx, g.ny))
 
     residual = l2_norm_values(apply_a(first.ravel()).reshape(g.nx, g.ny) - rhs, g)
@@ -193,7 +213,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         )
 
     # translation (adjoint-kernel) contamination must be at roundoff level
-    s_x = ifft2(1j * g.kxg * fft2(S)).real
+    s_x = irfft2(1j * g.half_plane(g.kxg) * rfft2(S), g)
     norm_first = l2_norm_values(first, g)
     if norm_first > 0:
         overlap = abs(np.sum(first * s_x)) * g.cell_area
@@ -203,8 +223,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
                 f"linearized {mode} solution has odd-kernel overlap {overlap / denom:.3e}"
             )
 
-    sh = fft2(S * first)
-    second = 2.0 * ifft2(e_xx * sh).real
+    second = 2.0 * irfft2(e_xx * rfft2(S * first), g)
     if mode == "HZ":
         second = second + e_lap_f
 
@@ -215,6 +234,8 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         mode=mode,
         residual=float(rel_res),
         inner_with_S=inner,
+        info=int(info),
+        iterations=iterations,
     )
 
 

@@ -7,10 +7,13 @@ single coefficient of modulus sqrt(nx*ny).
 
 Spectra are plain arrays: fft2, ifft2, dealias_spectrum and the norms work
 on arrays, and the Field-level operators below take and return
-physical-space Fields.  All operators here are diagonal in spectral space
-and therefore commute.  Thread count for the transforms is controlled by
-the DSALPHA_FFT_WORKERS environment variable (default 1); results are
-deterministic for a fixed grid and worker count.
+physical-space Fields.  A real array has a Hermitian spectrum, so rfft2
+keeps only its ky >= 0 half plane (Grid2D.half_plane slices a symbol to
+match), irfft2 returns a real array, and half_plane_sum recovers a
+full-plane sum from the half plane.  All operators here are diagonal in
+spectral space and therefore commute.  Thread count for the transforms is
+controlled by the DSALPHA_FFT_WORKERS environment variable (default 1);
+results are deterministic for a fixed grid and worker count.
 """
 
 import os
@@ -32,6 +35,25 @@ def fft2(a):
 
 def ifft2(a):
     return _fft.ifft2(a, norm="ortho", workers=_WORKERS)
+
+
+def rfft2(a):
+    """Half-plane spectrum (nx, ny//2 + 1) of a real array."""
+    return _fft.rfft2(a, norm="ortho", workers=_WORKERS)
+
+
+def irfft2(ah, grid):
+    """Real array on `grid` from its half-plane spectrum."""
+    return _fft.irfft2(ah, s=(grid.nx, grid.ny), norm="ortho", workers=_WORKERS)
+
+
+def half_plane_sum(p):
+    """Full-plane sum of a real quantity even under k -> -k, from its half plane.
+
+    The ky = 0 and Nyquist columns appear once in the full plane and every
+    other column twice (once as its mirror), so they carry weights 1 and 2.
+    """
+    return float(2.0 * np.sum(p[:, 1:-1]) + np.sum(p[:, 0]) + np.sum(p[:, -1]))
 
 
 def dealias_spectrum(ah, grid):

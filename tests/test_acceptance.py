@@ -143,6 +143,7 @@ class TestCriterion2Conservation:
         _report(2, ok, "; ".join(notes) + f"; total {time.time() - t0:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion3Dichotomy:
     def test_criterion_3(self, dichotomy_pair):
         dse, rds, t_dse, t_rds = dichotomy_pair
@@ -262,6 +263,7 @@ class TestCriterion6ReducedDynamics:
         _report(6, ok, "; ".join(notes) + f"; runtime {elapsed:.1f}s < 10s")
 
 
+@pytest.mark.slow
 class TestCriterion7CollapseFit:
     def test_criterion_7(self, dichotomy_pair):
         t0 = time.time()

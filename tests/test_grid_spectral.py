@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsalpha import (
     Grid2D,
@@ -11,7 +13,15 @@ from dsalpha import (
     l2_norm,
     real_field,
 )
-from dsalpha.spectral import dealias_spectrum, fft2, ifft2, l2_norm_values
+from dsalpha.spectral import (
+    dealias_spectrum,
+    fft2,
+    half_plane_sum,
+    ifft2,
+    irfft2,
+    l2_norm_values,
+    rfft2,
+)
 from conftest import random_complex
 
 
@@ -50,6 +60,49 @@ class TestTransforms:
     def test_plancherel(self, grid_small, rng):
         f = complex_field(grid_small, random_complex(rng, grid_small))
         assert abs(l2_norm_values(fft2(f.values), grid_small) - l2_norm(f)) / l2_norm(f) < 1e-12
+
+
+# random even grids from 8^2 to 32^2, square or not, with random real data
+_REAL_DRAWS = dict(
+    nx=st.integers(4, 16).map(lambda m: 2 * m),
+    ny=st.integers(4, 16).map(lambda m: 2 * m),
+    lx=st.floats(1.0, 64.0),
+    ly=st.floats(1.0, 64.0),
+    nu=st.floats(0.05, 5.0),
+    alpha=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestRealTransformProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(**_REAL_DRAWS)
+    def test_half_plane_multiplier_matches_full_plane(
+        self, nx, ny, lx, ly, nu, alpha, seed
+    ):
+        g = Grid2D(nx, ny, lx, ly)
+        a = np.random.default_rng(seed).standard_normal((nx, ny))
+        for sym in (g.k2, g.inverse_one_minus_laplacian_symbol(), g.e_symbol(nu, "xx"),
+                    g.helmholtz_symbol(alpha)):
+            got = irfft2(g.half_plane(sym) * rfft2(a), g)
+            want = ifft2(sym * fft2(a)).real
+            assert got.shape == (nx, ny) and np.isrealobj(got)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_REAL_DRAWS)
+    def test_half_plane_sum_matches_full_plane(self, nx, ny, lx, ly, nu, alpha, seed):
+        # relative to the sum of magnitudes: random spectra cancel in the sum
+        g = Grid2D(nx, ny, lx, ly)
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, nx, ny))
+        got = half_plane_sum((np.conj(rfft2(a)) * rfft2(b)).real)
+        full = np.conj(fft2(a)) * fft2(b)
+        assert abs(got - np.sum(full).real) <= 1e-13 * np.sum(np.abs(full))
+        sym = g.half_plane(g.helmholtz_symbol(alpha))
+        weighted = half_plane_sum(sym * np.abs(rfft2(a)) ** 2)
+        want = np.sum(g.helmholtz_symbol(alpha) * np.abs(fft2(a)) ** 2)
+        assert weighted == pytest.approx(want, rel=1e-13)
 
 
 class TestHelmholtzInverse:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsalpha import (
+    ConvergenceError,
     Grid2D,
     InsufficientDataError,
     ModelKind,
@@ -15,6 +16,7 @@ from dsalpha import (
     reduced_first_integral,
     solve_linearized,
 )
+import dsalpha.modulation as modulation
 from dsalpha.ground_state import GroundState
 from dsalpha.fields import real_field
 from dsalpha.spectral import fft2, ifft2
@@ -146,6 +148,20 @@ class TestSolveLinearized:
         rhs = -2.0 * g.kxg**2 * fft2(townes.S.values * sol.first.values)
         scale = np.max(np.abs(rhs)) or 1.0
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("mode", ["GY", "HZ"])
+    def test_minres_status_carried(self, townes, mode):
+        sol = solve_linearized(townes, ModelSpec(ModelKind.RDS1, 1.0, 0.0, 1.0, 0.1), mode)
+        assert sol.info == 0
+        assert sol.iterations > 0
+
+    def test_minres_breakdown_raises(self, townes, monkeypatch):
+        def broken(A, b, **kwargs):
+            return np.zeros_like(b), -1
+
+        monkeypatch.setattr(modulation, "minres", broken)
+        with pytest.raises(ConvergenceError, match="info=-1"):
+            solve_linearized(townes, ModelSpec(ModelKind.RDS1, 1.0, 0.0, 1.0, 0.1), "GY")
 
     def test_unknown_mode_rejected(self, townes):
         with pytest.raises(ParameterError):
