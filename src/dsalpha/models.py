@@ -1,29 +1,29 @@
 """The four wave-envelope systems: right-hand sides and invariants.
 
 All four share the structure i v_t + Lap v + F(v) = 0 with a real potential
+F(v) = P v.  P is linear in the dealiased intensity spectrum: with
+I = |v_d|^2 (v_d the 2/3-rule dealiased v) and keep the 2/3 mask,
 
-    F(v) = P v,    P = beta * u_eff - rho * pot,
+    P = local * I + irfft2(Q * rfft2(I)),
 
-and differ in how the intensity I = |v|^2 is smoothed before it enters
-u_eff and the nonlocal potential pot:
-
-    kind   u_eff    pot
-    DSE    I        E(I)
-    RDS1   B(I)     E(I)
-    RDS2   I        B(E(B(I)))
-    RDS3   B(I)     B(E(B(I)))
+    kind   local   Q
+    DSE    beta    keep * (-rho E)
+    RDS1   0       keep * (beta B - rho E)
+    RDS2   beta    keep * (-rho B E B)
+    RDS3   0       keep * (beta B - rho B E B)
 
 with B the Helmholtz inverse (Id - alpha^2 Lap)^{-1} and E the anisotropic
-Poisson velocity operator.  Each interaction energy is a quadratic form in
-I with variational derivative P, so every kind conserves
+Poisson velocity operator (its xx symbol).  Q is one real half-plane symbol
+per (grid, model), built on first use and cached on the grid.  Each
+interaction energy is a quadratic form in I with variational derivative P,
+so every kind conserves
 
     H = |grad v|_2^2 - (1/2) int I P,
 
 which on the grid equals the mean-flow form exactly (|E_xx|^2 + nu|E_xy|^2
-= E_xx mode by mode; B and the dealias mask are real and diagonal).  Cubic
-products are formed in physical space with a 2/3-rule dealias applied to
-each factor's spectrum, which prevents aliasing-driven spurious growth
-near focusing.
+= E_xx mode by mode; B and the dealias mask are real and diagonal).  The
+cubic product is formed in physical space from the dealiased v, which
+prevents aliasing-driven spurious growth near focusing.
 """
 
 import warnings
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import Field
 from .grid import Grid2D
-from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2
+from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2, irfft2, rfft2
 
 
 class ModelKind(Enum):
@@ -99,25 +99,44 @@ class ModelSpec:
             )
 
 
+def _potential_symbol(grid: Grid2D, spec: ModelSpec):
+    """(local, Q) of the table in the module docstring; Q on the rfft2 half plane."""
+
+    def build():
+        e = grid.e_symbol(spec.nu, "xx")
+        if spec.kind in _SMOOTH_NONLOCAL:
+            b = grid.helmholtz_symbol(spec.alpha)
+            e = b * e * b
+        q = -spec.rho * e
+        if spec.kind in _SMOOTH_CUBIC:
+            q = q + spec.beta * grid.helmholtz_symbol(spec.alpha)
+        q[grid.dealias_zero] = 0.0
+        return np.ascontiguousarray(grid.half_plane(q))
+
+    local = 0.0 if spec.kind in _SMOOTH_CUBIC else spec.beta
+    return local, grid._cached(("potential", spec), build)
+
+
 def _intensity_and_potential(vh, grid: Grid2D, spec: ModelSpec):
-    """From the spectrum vh of v: I = |v_d|^2 and the potential P."""
+    """From the spectrum vh of v: I = |v_d|^2 and the potential P.
+
+    One complex transform (v_d) and two real ones (rfft2 of I, irfft2 of Q*I^).
+    """
+    local, q = _potential_symbol(grid, spec)
     vd = ifft2(dealias_spectrum(vh, grid))
-    del vh  # free a temporary spectrum: held on, it cost 27% more 384^2 page faults
     intensity = (vd * vd.conj()).real
-    ih = dealias_spectrum(fft2(intensity), grid)
-    del vd  # likewise: held to the return, v_d cost 38% more page faults
-    e_xx = grid.e_symbol(spec.nu, "xx")
-    if spec.kind is ModelKind.DSE:
-        return intensity, spec.beta * intensity - spec.rho * ifft2(e_xx * ih).real
-    b = grid.helmholtz_symbol(spec.alpha)
-    uh = b * ih
-    ueff = ifft2(uh).real if spec.kind in _SMOOTH_CUBIC else intensity
-    pot = ifft2(b * e_xx * uh).real if spec.kind in _SMOOTH_NONLOCAL else ifft2(e_xx * ih).real
-    return intensity, spec.beta * ueff - spec.rho * pot
+    del vd  # free v_d before the real transforms allocate theirs
+    p = irfft2(q * rfft2(intensity), grid)
+    if local:
+        p += local * intensity
+    return intensity, p
 
 
 def potential_values(v_values, grid: Grid2D, spec: ModelSpec):
-    """Real potential P with F(v) = P*v; used by the phase substep."""
+    """Real potential P with F(v) = P*v, from the physical values of v.
+
+    The stepping loop calls _intensity_and_potential on a spectrum it has.
+    """
     return _intensity_and_potential(fft2(v_values), grid, spec)[1]
 
 
@@ -133,8 +152,15 @@ def hamiltonian(v: Field, spec: ModelSpec) -> float:
     phase substep uses, so the monitored quantity is that of the flow
     actually being integrated.
     """
-    g = v.grid
     vh = fft2(v.values)
-    gradsq = grad_norm_spectrum(vh, g) ** 2
-    intensity, p = _intensity_and_potential(vh, g, spec)
-    return float(gradsq - 0.5 * np.sum(intensity * p) * g.cell_area)
+    return _hamiltonian_and_potential(vh, grad_norm_spectrum(vh, v.grid), v.grid, spec)[0]
+
+
+def _hamiltonian_and_potential(vh, grad_norm, grid: Grid2D, spec: ModelSpec):
+    """H and P of v from its spectrum vh and |grad v|_2 (taken from vh).
+
+    The record's path: with the fft2 that gave vh, H costs 2 complex and 2
+    real transforms, and P serves the step after the record.
+    """
+    intensity, p = _intensity_and_potential(vh, grid, spec)
+    return float(grad_norm**2 - 0.5 * np.sum(intensity * p) * grid.cell_area), p

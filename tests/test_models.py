@@ -180,6 +180,19 @@ class TestNonlinearity:
         want = _dft_oracle(v.values, g, spec)[0]
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    def test_symbol_cache_keyed_by_model(self, rng):
+        # one grid serves every model: each spec gets its own half-plane
+        # symbol, built on first use (not at grid set-up) and reused after
+        g = Grid2D(32, 32, 8.0, 8.0)
+        assert not g._multiplier_cache
+        v = random_complex(rng, g)
+        specs = [spec_for(kind, beta=beta, alpha=alpha)
+                 for kind in ALL_KINDS for beta, alpha in ((1.0, 0.25), (0.5, 0.5))]
+        for _ in range(2):
+            for spec in specs:
+                fresh = potential_values(v, Grid2D(32, 32, 8.0, 8.0), spec)
+                assert np.array_equal(potential_values(v, g, spec), fresh)
+
     def test_gauge_invariance_quarter_turns(self, grid_medium, rng):
         # F(phase*v) = phase*F(v) means P(phase*v) = P(v); the continuum
         # identity is exact, the transforms reorder floating point
@@ -278,16 +291,16 @@ class TestMassAndHamiltonian:
         for kind in ALL_KINDS:
             assert hamiltonian(v, spec_for(kind)) == 0.0
 
-    @pytest.mark.parametrize("kind, transforms", [
-        (ModelKind.DSE, 4), (ModelKind.RDS1, 5), (ModelKind.RDS2, 4), (ModelKind.RDS3, 5),
-    ])
+    @pytest.mark.parametrize("kind, transforms", [(kind, 4) for kind in ALL_KINDS])
     def test_hamiltonian_transforms_v_once(self, grid_small, rng, monkeypatch, kind, transforms):
         # one fft2 of v feeds both the gradient term and the intensity; the
-        # rest are the intensity pipeline (2), u_eff for RDS1/3 (1) and pot (1)
+        # rest are ifft2 of the dealiased spectrum and the real transform
+        # pair of the potential's one half-plane symbol, for every kind
         v = complex_field(grid_small, random_complex(rng, grid_small))
-        calls = count_calls(monkeypatch, models_mod, "fft2", "ifft2")
+        calls = count_calls(monkeypatch, models_mod, "fft2", "ifft2", "rfft2", "irfft2")
         hamiltonian(v, spec_for(kind))
         assert len(calls) == transforms
+        assert sorted(calls) == ["fft2", "ifft2", "irfft2", "rfft2"]
 
     def test_hamiltonian_plane_wave_rds3(self, grid_small):
         g = grid_small

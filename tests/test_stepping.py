@@ -13,8 +13,13 @@ from dsalpha import (
     integrate,
     l2_norm,
 )
+import dsalpha.models as models_mod
+import dsalpha.stepping as stepping_mod
 from dsalpha.harness import gaussian_state
+from dsalpha.models import potential_values
+from dsalpha.spectral import fft2, grad_norm_spectrum, ifft2
 from dsalpha.stepping import MAX_MASS_DRIFT
+from conftest import count_calls, random_complex
 
 
 def diff_norm(a, b, grid):
@@ -45,8 +50,6 @@ class TestStrangStep:
 
     @pytest.mark.filterwarnings("ignore:DSE run with beta=0.0")
     def test_free_propagator_unitary(self, grid_medium, rng):
-        from conftest import random_complex
-
         spec = ModelSpec(ModelKind.DSE, 0.0, 0.0, 1.0)
         v = complex_field(grid_medium, random_complex(rng, grid_medium))
         out = run_fixed(v, spec, 0.01, 1)
@@ -194,3 +197,133 @@ class TestIntegrate:
         assert ok.status is RunStatus.REACHED_T_END
         gn = [r.grad_norm for r in ok.records]
         assert max(gn) / min(gn) < 20
+
+
+def reference_strang(v0, spec, dt, n, record_every, snapshot_every):
+    """Fixed-dt Strang loop written from potential_values, fft2 and ifft2.
+
+    Every potential is computed afresh from the state it acts on; half
+    phases are fused between steps and closed at records and snapshots, as
+    integrate does.  Returns {step: state} at records and at snapshots.
+    """
+    g = v0.grid
+    phase = np.exp(-1j * dt * g.k2)
+    v = v0.values.copy()
+    pending = 0.0
+    records = {0: v.copy()}
+    snaps = {0: v.copy()} if snapshot_every else {}
+    for step in range(1, n + 1):
+        v = v * np.exp(1j * (pending + 0.5 * dt) * potential_values(v, g, spec))
+        v = ifft2(phase * fft2(v))
+        pending = 0.5 * dt
+        emit = step % record_every == 0 or step == n
+        snap = snapshot_every and step % snapshot_every == 0
+        if emit or snap:
+            v = v * np.exp(1j * pending * potential_values(v, g, spec))
+            pending = 0.0
+        if emit:
+            records[step] = v.copy()
+        if snap:
+            snaps[step] = v.copy()
+    return records, snaps
+
+
+def transform_counts(monkeypatch):
+    """Count the transforms stepping and models make; the returned function
+    gives (complex, real) so far."""
+    calls = count_calls(monkeypatch, stepping_mod, "fft2", "ifft2")
+    model_calls = count_calls(monkeypatch, models_mod, "fft2", "ifft2", "rfft2", "irfft2")
+
+    def counts():
+        real = sum(name in ("rfft2", "irfft2") for name in model_calls)
+        return len(calls) + len(model_calls) - real, real
+
+    return counts
+
+
+class TestLeanStep:
+    """The loop carries the linear substep's spectrum and a record's
+    potential into the next step; neither may be used once the state moved."""
+
+    DT, N = 2.0**-7, 15  # binary dt: t = step*dt exactly, no truncated last step
+
+    @pytest.mark.parametrize("kind", [ModelKind.DSE, ModelKind.RDS3])
+    @pytest.mark.parametrize("record_every", [1, 3, 7])
+    @pytest.mark.parametrize("snapshot_every", [0, 4])
+    def test_matches_reference_loop(self, kind, record_every, snapshot_every):
+        # a noisy state has O(1) content beyond 2/3 Nyquist, so the
+        # potential of a phase-rotated state differs from the unrotated one
+        # and a stale spectrum or potential shows far above roundoff
+        g = Grid2D(32, 32, 8.0, 8.0)
+        rng = np.random.default_rng(7)
+        v0 = complex_field(g, gaussian_state(g, 1.5, 1.0).values
+                           + 0.3 * random_complex(rng, g))
+        spec = ModelSpec(kind, 1.0, -1.0, 1.0, 0.3 if kind is ModelKind.RDS3 else 0.0)
+        snaps = {}
+        ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=self.N * self.DT)
+        out = integrate(v0, spec, ctrl, record_every=record_every,
+                        snapshot_every=snapshot_every,
+                        snapshot_writer=lambda step, t, f: snaps.setdefault(step, f.values))
+        want_records, want_snaps = reference_strang(
+            v0, spec, self.DT, self.N, record_every, snapshot_every)
+        scale = np.max(np.abs(v0.values))
+        assert out.steps == self.N
+        assert [round(r.t / self.DT) for r in out.records] == sorted(want_records)
+        for r in out.records:
+            want = want_records[round(r.t / self.DT)]
+            f = complex_field(g, want)
+            assert r.grad_norm == pytest.approx(grad_norm_spectrum(fft2(want), g), rel=1e-12)
+            assert r.hamiltonian == pytest.approx(hamiltonian(f, spec), rel=1e-12)
+            assert r.max_amp == pytest.approx(np.max(np.abs(want)), rel=1e-12)
+        assert np.max(np.abs(out.final_state.values - want_records[self.N])) < 1e-12 * scale
+        assert sorted(snaps) == sorted(want_snaps)
+        for step, values in snaps.items():
+            assert np.max(np.abs(values - want_snaps[step])) < 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", [ModelKind.DSE, ModelKind.RDS3])
+    def test_transforms_per_fused_step(self, monkeypatch, kind):
+        # a fused step: ifft2 of the dealiased carried spectrum, rfft2/irfft2
+        # of the potential, fft2/ifft2 of the linear substep.  Fixed: the two
+        # records (2 complex + 2 real each); the first step's potential comes
+        # from the first record and the closing half phase adds one pipeline
+        g = Grid2D(32, 32, 8.0, 8.0)
+        spec = ModelSpec(kind, 1.0, -1.0, 1.0, 0.3 if kind is ModelKind.RDS3 else 0.0)
+        v0 = gaussian_state(g, 1.5, 1.0)
+        for n in (4, 9):
+            ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=n * self.DT)
+            with monkeypatch.context() as mp:
+                counts = transform_counts(mp)
+                assert integrate(v0, spec, ctrl, record_every=10**9).steps == n
+            assert counts() == (3 * n + 4, 2 * n + 4)
+
+    def test_step_after_a_record_runs_no_potential_pipeline(self, monkeypatch):
+        # the record's potential is that of the state the next step starts
+        # from, so the next pipeline run is the one closing that step
+        g = Grid2D(32, 32, 8.0, 8.0)
+        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+        events = []
+
+        def logged(name, inner):
+            def wrapper(*args, **kwargs):
+                out = inner(*args, **kwargs)
+                events.append(name)
+                return out
+            return wrapper
+
+        for name, attr in (("record", "_record"), ("pipeline", "_intensity_and_potential"),
+                           ("linear", "ifft2")):
+            monkeypatch.setattr(stepping_mod, attr, logged(name, getattr(stepping_mod, attr)))
+        n = 6
+        ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=n * self.DT)
+        integrate(gaussian_state(g, 1.5, 1.0), spec, ctrl, record_every=1)
+        assert events == ["record"] + ["linear", "pipeline", "record"] * n
+
+    def test_ifrk4_stage_potential_from_stage_spectrum(self, monkeypatch):
+        # each of the four stages: ifft2 of its spectrum, the potential
+        # pipeline on that spectrum (1 complex + 2 real), fft2 of P*v; plus
+        # the fft2 in and the ifft2 out
+        g = Grid2D(32, 32, 8.0, 8.0)
+        v = gaussian_state(g, 1.5, 1.0)
+        counts = transform_counts(monkeypatch)
+        stepping_mod.ifrk4_step(v, ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3), self.DT)
+        assert counts() == (14, 8)
