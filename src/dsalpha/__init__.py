@@ -11,10 +11,9 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     SnapshotFormatError,
-    SpaceContractError,
     SymmetryViolationError,
 )
-from .fields import Field, complex_field, real_field
+from .fields import Field, complex_field
 from .grid import Grid2D
 from .ground_state import GroundState, PetviashviliConfig, residual_norm, solve_ground_state
 from .models import ModelKind, ModelSpec, hamiltonian, mass
@@ -65,7 +64,6 @@ __all__ = [
     "RunOutcome",
     "RunStatus",
     "SnapshotFormatError",
-    "SpaceContractError",
     "StepControl",
     "SymmetryViolationError",
     "collapse_fit",
@@ -79,7 +77,6 @@ __all__ = [
     "integrate_reduced",
     "l2_norm",
     "mass",
-    "real_field",
     "reduced_first_integral",
     "residual_norm",
     "solve_ground_state",

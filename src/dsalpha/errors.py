@@ -5,11 +5,6 @@ class DsalphaError(Exception):
     """Base class for all package errors."""
 
 
-class SpaceContractError(DsalphaError):
-    """Complex values with more than roundoff imaginary content were passed
-    where a real field is required (raised by fields.real_field)."""
-
-
 class ParameterError(DsalphaError, ValueError):
     """Invalid parameter value (non-positive nu/alpha, bad regime constants, ...)."""
 

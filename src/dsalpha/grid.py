@@ -10,6 +10,8 @@ arrays are shaped (nx, ny) with the x index first and stored row-major, so
 the y index varies fastest in memory.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -19,14 +21,16 @@ class Grid2D:
     """Uniform periodic grid with cached wavenumber tables.
 
     Wavenumbers are 2*pi*m/l for integer modes m in the standard symmetric
-    FFT ordering; the Nyquist mode appears exactly once per axis.
+    FFT ordering; the Nyquist mode appears exactly once per axis.  The grid
+    keeps its 1-D axes x, y, kx, ky; full tables (r2, k2, the symbols) are
+    built from them by broadcasting, x along axis 0 and y along axis 1.
     """
 
     def __init__(self, nx, ny, lx, ly):
         if nx % 2 or ny % 2 or nx < 8 or ny < 8:
             raise ParameterError(f"grid sizes must be even and >= 8, got {nx}x{ny}")
-        if lx <= 0 or ly <= 0:
-            raise ParameterError(f"box sides must be positive, got {lx}x{ly}")
+        if not (0 < lx < math.inf and 0 < ly < math.inf):
+            raise ParameterError(f"box sides must be positive and finite, got {lx}x{ly}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.lx = float(lx)
@@ -38,13 +42,11 @@ class Grid2D:
 
         self.x = -self.lx / 2 + self.dx * np.arange(self.nx)
         self.y = -self.ly / 2 + self.dy * np.arange(self.ny)
-        self.xg, self.yg = np.meshgrid(self.x, self.y, indexing="ij")
-        self.r2 = self.xg**2 + self.yg**2
+        self.r2 = self.x[:, None] ** 2 + self.y[None, :] ** 2
 
         self.kx = 2 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
         self.ky = 2 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
-        self.kxg, self.kyg = np.meshgrid(self.kx, self.ky, indexing="ij")
-        self.k2 = self.kxg**2 + self.kyg**2
+        self.k2 = self.kx[:, None] ** 2 + self.ky[None, :] ** 2
 
         # 2/3-rule mask: True where the mode index exceeds 2/3 of Nyquist.
         mx = np.abs(np.fft.fftfreq(self.nx) * self.nx)
@@ -85,9 +87,10 @@ class Grid2D:
             raise ParameterError(f"unknown E component {component!r}")
 
         def build():
-            denom = self.kxg**2 + nu * self.kyg**2
+            kx, ky = self.kx[:, None], self.ky[None, :]
+            denom = kx**2 + nu * ky**2
             safe = np.where(denom > 0, denom, 1.0)
-            num = self.kxg**2 if component == "xx" else self.kxg * self.kyg
+            num = kx**2 if component == "xx" else kx * ky
             return np.where(denom > 0, num / safe, 0.0)
 
         return self._cached(("e", float(nu), component), build)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateLimitError, ParameterError
-from .fields import Field, check_same_grid, real_field
+from .errors import ConvergenceError, DegenerateLimitError, GridMismatchError, ParameterError
+from .fields import Field
 from .grid import Grid2D
 from .spectral import fft2, half_plane_sum, ifft2, irfft2, l2_norm_values, rfft2
 
@@ -94,13 +94,16 @@ def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> flo
     check runs on complex transforms in physical space, independently of
     the solver's real transforms and spectral residual.
     """
-    g = check_same_grid(S, X)
+    if S.grid != X.grid:
+        raise GridMismatchError(f"S on {S.grid} and X on {X.grid}")
+    g = S.grid
     s = S.values
     X_of_S = ifft2(g.e_symbol(nu, "xx") * fft2(s * s)).real
     r1 = ifft2(-g.k2 * fft2(s)).real - s + beta * s**3 - rho * s * X_of_S
     # defect of Delta_nu X - (S^2)_xx
-    lhs = ifft2(-(g.kxg**2 + nu * g.kyg**2) * fft2(X.values)).real
-    rhs = ifft2(-(g.kxg**2) * fft2(s**2)).real
+    kx2, ky2 = g.kx[:, None] ** 2, g.ky[None, :] ** 2
+    lhs = ifft2(-(kx2 + nu * ky2) * fft2(X.values)).real
+    rhs = ifft2(-kx2 * fft2(s**2)).real
     return l2_norm_values(r1, g) + l2_norm_values(lhs - rhs, g)
 
 
@@ -177,8 +180,8 @@ def solve_ground_state(
     f = S * S
     grad_f_sq = half_plane_sum(grid.half_plane(grid.k2) * np.abs(rfft2(f)) ** 2) * da
     return GroundState(
-        S=real_field(grid, S),
-        X=real_field(grid, X),
+        S=Field(grid, S),
+        X=Field(grid, X),
         lam=1.0,
         residual=float(residual),
         mass=float(np.sum(f) * da),

@@ -78,7 +78,7 @@ def build_spec(cfg: RunConfig) -> ModelSpec:
 
 def gaussian_state(grid: Grid2D, amplitude, width, center=(0.0, 0.0), chirp=0.0) -> Field:
     """amplitude * exp(-r^2/(2 width^2)) * exp(i chirp r^2), centered."""
-    r2 = (grid.xg - center[0]) ** 2 + (grid.yg - center[1]) ** 2
+    r2 = (grid.x[:, None] - center[0]) ** 2 + (grid.y[None, :] - center[1]) ** 2
     values = amplitude * np.exp(-r2 / (2.0 * width**2)) * np.exp(1j * chirp * r2)
     return complex_field(grid, values)
 

@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     SymmetryViolationError,
 )
-from .fields import Field, real_field
+from .fields import Field
 from .ground_state import GroundState, symmetrize_even
 from .models import ModelKind, ModelSpec
 from .spectral import irfft2, l2_norm_values, rfft2
@@ -213,7 +213,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         )
 
     # translation (adjoint-kernel) contamination must be at roundoff level
-    s_x = irfft2(1j * g.half_plane(g.kxg) * rfft2(S), g)
+    s_x = irfft2(1j * g.kx[:, None] * rfft2(S), g)
     norm_first = l2_norm_values(first, g)
     if norm_first > 0:
         overlap = abs(np.sum(first * s_x)) * g.cell_area
@@ -229,8 +229,8 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
 
     inner = float(np.sum(S * first) * g.cell_area)
     return LinearizedSolution(
-        first=real_field(g, first),
-        second=real_field(g, second),
+        first=Field(g, first),
+        second=Field(g, second),
         mode=mode,
         residual=float(rel_res),
         inner_with_S=inner,

@@ -12,19 +12,21 @@ Layout, little-endian, no padding:
     payload   nx*ny complex samples as interleaved (re, im) f64 pairs,
               row-major with the x index first (y fastest)
 
-Write-then-read is bit-exact; version or magic mismatches are rejected and
-short payloads are reported with expected vs actual byte counts.  Writes
+Write-then-read is bit-exact; version or magic mismatches, a non-finite
+time and header grids that Grid2D rejects are format errors, and short
+payloads are reported with expected vs actual byte counts.  Writes
 are atomic (atomic_open), so a failed or killed write never leaves a
 truncated file in place of an earlier one.
 """
 
+import math
 import os
 import struct
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import SnapshotFormatError
+from .errors import ParameterError, SnapshotFormatError
 from .fields import Field, complex_field
 from .grid import Grid2D
 from .models import ModelKind
@@ -93,13 +95,18 @@ def read_snapshot(path):
         raise SnapshotFormatError(f"unsupported snapshot version {version}, expected {VERSION}")
     if tag not in _TAG_KIND:
         raise SnapshotFormatError(f"unknown model tag {tag}")
+    if not math.isfinite(t):
+        raise SnapshotFormatError(f"snapshot time {t} is not finite")
     expected = _HEADER.size + 16 * nx * ny
     if len(raw) != expected:
         raise SnapshotFormatError(
             f"truncated or oversized snapshot: expected {expected} bytes, got {len(raw)}"
         )
+    try:
+        grid = Grid2D(nx, ny, lx, ly)
+    except ParameterError as exc:
+        raise SnapshotFormatError(f"snapshot header holds an invalid grid: {exc}") from None
     values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nx, ny).copy()
-    grid = Grid2D(nx, ny, lx, ly)
     meta = {
         "kind": _TAG_KIND[tag],
         "beta": beta,

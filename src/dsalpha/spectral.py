@@ -57,7 +57,7 @@ def half_plane_sum(p):
 
 
 def dealias_spectrum(ah, grid):
-    """Zero all modes above 2/3 of Nyquist on either axis (in place copy)."""
+    """A copy of ah with all modes above 2/3 of Nyquist on either axis zeroed."""
     out = ah.copy()
     out[grid.dealias_zero] = 0.0
     return out
@@ -78,7 +78,7 @@ def grad_norm_spectrum(ah, grid):
 def _apply_multiplier(f: Field, sym) -> Field:
     """Apply a diagonal multiplier, preserving realness."""
     out = ifft2(sym * fft2(f.values))
-    if f.is_real:
+    if not np.iscomplexobj(f.values):
         out = out.real
     return Field(f.grid, out)
 

@@ -128,9 +128,8 @@ def ifrk4_step(v: Field, spec: ModelSpec, dt: float) -> Field:
         vv = ifft2(vh)
         return 1j * fft2(_intensity_and_potential(vh, g, spec)[1] * vv) / prop
 
-    one = np.ones_like(g.k2)
     wh = fft2(v.values)
-    k1 = rhs(wh, one)
+    k1 = rhs(wh, 1.0)
     k2 = rhs(wh + 0.5 * dt * k1, half)
     k3 = rhs(wh + 0.5 * dt * k2, half)
     k4 = rhs(wh + dt * k3, full)

@@ -2,12 +2,20 @@
 
 These deliberately avoid the package's own code paths: the radial profile
 oracle solves the steady ODE by shooting with a generic ODE integrator and
-bisection, nothing spectral.
+bisection, nothing spectral, and the grid tables come from np.meshgrid
+rather than the grid's own broadcasts.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+
+def meshes(g):
+    """Full (nx, ny) tables (x, y, kx, ky) of grid g, x index first."""
+    xg, yg = np.meshgrid(g.x, g.y, indexing="ij")
+    kxg, kyg = np.meshgrid(g.kx, g.ky, indexing="ij")
+    return xg, yg, kxg, kyg
 
 
 def _shoot(s0, rmax):

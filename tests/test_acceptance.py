@@ -39,7 +39,7 @@ from dsalpha.harness import (
 )
 from dsalpha.snapshots import read_snapshot, write_snapshot
 from dsalpha.stepping import DiagnosticsRecord
-from oracles import cubic_profile_critical_mass
+from oracles import cubic_profile_critical_mass, meshes
 
 
 def _report(criterion, ok, detail):
@@ -84,12 +84,13 @@ class TestCriterion1OperatorExactness:
         notes = []
 
         # plane-wave symbol values against closed forms
-        pw = complex_field(g, np.exp(1j * (g.kx[1] * g.xg + g.ky[1] * g.yg)))
+        xg, yg, _, _ = meshes(g)
+        pw = complex_field(g, np.exp(1j * (g.kx[1] * xg + g.ky[1] * yg)))
         b = helmholtz_inverse(pw, 1.0)  # |k|^2 = 2 -> 1/3
         err_b = np.max(np.abs(b.values - pw.values / 3.0))
         exx = e_multiplier(pw, 2.0, "xx")  # kx = ky, nu=2 -> 1/3
         err_e = np.max(np.abs(exx.values - pw.values / 3.0))
-        px = complex_field(g, np.exp(1j * g.kx[3] * g.xg))
+        px = complex_field(g, np.exp(1j * g.kx[3] * xg))
         err_e1 = np.max(np.abs(e_multiplier(px, 1.5, "xx").values - px.values))
         ok &= err_b < 1e-13 and err_e < 1e-13 and err_e1 < 1e-13
         notes.append(f"symbol errs {err_b:.1e}/{err_e:.1e}/{err_e1:.1e}")

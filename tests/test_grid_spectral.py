@@ -1,18 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsalpha import (
+    Field,
     Grid2D,
     ParameterError,
-    SpaceContractError,
     complex_field,
     e_multiplier,
     helmholtz_inverse,
     l2_norm,
-    real_field,
+    residual_norm,
 )
+from dsalpha.harness import gaussian_state
 from dsalpha.spectral import (
     dealias_spectrum,
     fft2,
@@ -23,6 +26,7 @@ from dsalpha.spectral import (
     rfft2,
 )
 from conftest import random_complex
+from oracles import meshes
 
 
 class TestGrid:
@@ -39,6 +43,53 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid2D(nx, ny, lx, ly)
 
+    @pytest.mark.parametrize("side", [np.nan, np.inf])
+    def test_non_finite_sides_rejected(self, side):
+        with pytest.raises(ParameterError, match="finite"):
+            Grid2D(16, 16, side, 4.0)
+        with pytest.raises(ParameterError, match="finite"):
+            Grid2D(16, 16, 4.0, side)
+
+    def test_holds_no_coordinate_meshes(self):
+        # r2 and k2 as float n x n tables plus the boolean dealias mask;
+        # the 1-D axes, cell sizes and the empty symbol cache are small
+        n = 256
+        tracemalloc.start()
+        try:
+            g = Grid2D(n, n, 16.0, 16.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.dealias_zero.dtype == bool
+        assert held <= (8 + 8 + 1) * n * n + 64 * 1024
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", [(64, 48, 9.0, 5.5), (512, 256, 48.0, 24.0)])
+    def test_broadcast_tables_match_meshgrid(self, nx, ny, lx, ly, rng):
+        g = Grid2D(nx, ny, lx, ly)
+        xg, yg, kxg, kyg = meshes(g)
+        assert np.array_equal(g.r2, xg**2 + yg**2)
+        assert np.array_equal(g.k2, kxg**2 + kyg**2)
+        nu = 1.3
+        denom = kxg**2 + nu * kyg**2
+        safe = np.where(denom > 0, denom, 1.0)
+        assert np.array_equal(g.e_symbol(nu, "xx"), np.where(denom > 0, kxg**2 / safe, 0.0))
+        assert np.array_equal(g.e_symbol(nu, "xy"), np.where(denom > 0, kxg * kyg / safe, 0.0))
+
+        center, chirp = (0.4, -0.7), 0.3
+        r2 = (xg - center[0]) ** 2 + (yg - center[1]) ** 2
+        want = 1.7 * np.exp(-r2 / (2.0 * 1.1**2)) * np.exp(1j * chirp * r2)
+        assert np.array_equal(gaussian_state(g, 1.7, 1.1, center, chirp).values, want)
+
+        beta, rho = 1.0, -0.8
+        s = rng.standard_normal((nx, ny))
+        X = rng.standard_normal((nx, ny))
+        X_of_S = ifft2(g.e_symbol(nu, "xx") * fft2(s * s)).real
+        r1 = ifft2(-(kxg**2 + kyg**2) * fft2(s)).real - s + beta * s**3 - rho * s * X_of_S
+        lhs = ifft2(-(kxg**2 + nu * kyg**2) * fft2(X)).real
+        rhs = ifft2(-(kxg**2) * fft2(s**2)).real
+        want = l2_norm_values(r1, g) + l2_norm_values(lhs - rhs, g)
+        assert residual_norm(Field(g, s), Field(g, X), beta, rho, nu) == want
+
 
 class TestTransforms:
     def test_zero_field(self, grid_small):
@@ -46,7 +97,8 @@ class TestTransforms:
 
     def test_pure_mode_single_coefficient(self, grid_small):
         g = grid_small
-        fh = fft2(np.exp(1j * g.kx[1] * g.xg))
+        xg, _, _, _ = meshes(g)
+        fh = fft2(np.exp(1j * g.kx[1] * xg))
         mag = np.abs(fh)
         assert np.unravel_index(np.argmax(mag), mag.shape) == (1, 0)
         others = np.sum(mag**2) - mag[1, 0] ** 2
@@ -113,7 +165,8 @@ class TestHelmholtzInverse:
 
     def test_plane_wave_symbol(self, grid_small):
         g = grid_small  # lx = 2 pi so kx[1] = ky[1] = 1, |k|^2 = 2
-        f = complex_field(g, np.exp(1j * (g.kx[1] * g.xg + g.ky[1] * g.yg)))
+        xg, yg, _, _ = meshes(g)
+        f = complex_field(g, np.exp(1j * (g.kx[1] * xg + g.ky[1] * yg)))
         out = helmholtz_inverse(f, 1.0)
         assert np.max(np.abs(out.values - f.values / 3.0)) < 1e-13
 
@@ -133,19 +186,22 @@ class TestHelmholtzInverse:
 class TestEMultiplier:
     def test_x_mode_unchanged(self, grid_small):
         g = grid_small
-        f = complex_field(g, np.exp(1j * g.kx[1] * g.xg))
+        xg, _, _, _ = meshes(g)
+        f = complex_field(g, np.exp(1j * g.kx[1] * xg))
         out = e_multiplier(f, 1.7, "xx")
         assert np.max(np.abs(out.values - f.values)) < 1e-13
 
     def test_y_mode_annihilated(self, grid_small):
         g = grid_small
-        f = complex_field(g, np.exp(1j * g.ky[1] * g.yg))
+        _, yg, _, _ = meshes(g)
+        f = complex_field(g, np.exp(1j * g.ky[1] * yg))
         out = e_multiplier(f, 1.7, "xx")
         assert np.max(np.abs(out.values)) < 1e-14
 
     def test_diagonal_mode_symbol(self, grid_small):
         g = grid_small  # square box: kx[1] = ky[1], nu=2 -> 1/(1+2)
-        f = complex_field(g, np.exp(1j * (g.kx[1] * g.xg + g.ky[1] * g.yg)))
+        xg, yg, _, _ = meshes(g)
+        f = complex_field(g, np.exp(1j * (g.kx[1] * xg + g.ky[1] * yg)))
         out = e_multiplier(f, 2.0, "xx")
         assert np.max(np.abs(out.values - f.values / 3.0)) < 1e-13
 
@@ -203,15 +259,3 @@ class TestDealias:
         for _ in range(20):
             spec = random_complex(rng, g)
             assert l2_norm_values(dealias_spectrum(spec, g), g) <= l2_norm_values(spec, g)
-
-
-class TestRealField:
-    def test_rejects_large_imaginary_content(self, grid_small):
-        vals = np.ones((64, 64), dtype=complex) + 1e-6j
-        with pytest.raises(SpaceContractError):
-            real_field(grid_small, vals)
-
-    def test_coerces_roundoff_imaginary(self, grid_small):
-        vals = np.ones((64, 64), dtype=complex) + 1e-15j
-        f = real_field(grid_small, vals)
-        assert f.is_real

@@ -3,12 +3,13 @@ import pytest
 
 from dsalpha import (
     ConvergenceError,
+    Field,
     Grid2D,
+    GridMismatchError,
     PetviashviliConfig,
     ParameterError,
     e_multiplier,
     l2_norm,
-    real_field,
     residual_norm,
     solve_ground_state,
 )
@@ -38,7 +39,7 @@ class TestCubicLimit:
         # X agrees with the velocity operator applied to S^2, and the
         # first-equation defect is at tolerance
         g = townes.grid
-        X2 = e_multiplier(real_field(g, townes.S.values**2), 1.0, "xx")
+        X2 = e_multiplier(Field(g, townes.S.values**2), 1.0, "xx")
         assert np.max(np.abs(X2.values - townes.X.values)) < 1e-12
         assert residual_norm(townes.S, townes.X, 1.0, 0.0, 1.0) < 2e-10
 
@@ -108,8 +109,8 @@ class TestCoupledGroundState:
         sx = S - np.roll(S[::-1, :], 1, axis=0)
         sy = S - np.roll(S[:, ::-1], 1, axis=1)
         g = gs.grid
-        assert l2_norm(real_field(g, sx)) < 1e-12
-        assert l2_norm(real_field(g, sy)) < 1e-12
+        assert l2_norm(Field(g, sx)) < 1e-12
+        assert l2_norm(Field(g, sy)) < 1e-12
         assert S[g.nx // 2, g.ny // 2] > 0
         assert S.max() == S[g.nx // 2, g.ny // 2]
 
@@ -137,20 +138,26 @@ class TestCoupledGroundState:
 
 class TestResidualNorm:
     def test_zero_profile(self, grid_small):
-        z = real_field(grid_small, np.zeros((64, 64)))
+        z = Field(grid_small, np.zeros((64, 64)))
         assert residual_norm(z, z, 1.0, -1.0, 1.0) == 0.0
+
+    def test_rejects_pair_on_different_grids(self, grid_small):
+        S = Field(grid_small, np.zeros((64, 64)))
+        X = Field(Grid2D(64, 64, 8.0, 8.0), np.zeros((64, 64)))
+        with pytest.raises(GridMismatchError):
+            residual_norm(S, X, 1.0, -1.0, 1.0)
 
     def test_perturbation_scales_linearly(self, townes):
         # residual of S + eps*delta tracks the linearization eps*|L delta|
         g = townes.grid
         rng = np.random.default_rng(7)
         delta = rng.standard_normal((g.nx, g.ny))
-        delta /= l2_norm(real_field(g, delta))
+        delta /= l2_norm(Field(g, delta))
         X = townes.X
 
         def res(eps):
-            S = real_field(g, townes.S.values + eps * delta)
-            Xs = e_multiplier(real_field(g, S.values**2), 1.0, "xx")
+            S = Field(g, townes.S.values + eps * delta)
+            Xs = e_multiplier(Field(g, S.values**2), 1.0, "xx")
             return residual_norm(S, Xs, 1.0, 0.0, 1.0)
 
         r3, r5 = res(1e-3), res(1e-5)

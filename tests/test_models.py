@@ -18,6 +18,7 @@ from dsalpha.harness import gaussian_state
 from dsalpha.models import potential_values
 from dsalpha.spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2, l2_norm_values
 from conftest import count_calls, random_complex
+from oracles import meshes
 
 ALL_KINDS = [ModelKind.DSE, ModelKind.RDS1, ModelKind.RDS2, ModelKind.RDS3]
 
@@ -61,7 +62,8 @@ class TestComputeAux:
     def test_plane_wave_same_as_constant(self, grid_small):
         g = grid_small
         c = 0.8 + 0.1j
-        v = c * np.exp(1j * g.kx[2] * g.xg)
+        xg, _, _, _ = meshes(g)
+        v = c * np.exp(1j * g.kx[2] * xg)
         ueff = potential_values(v, g, spec_for(ModelKind.RDS3, beta=1.0, rho=0.0))
         pot = potential_values(v, g, spec_for(ModelKind.RDS3, beta=0.0, rho=-1.0))
         assert np.max(np.abs(ueff - abs(c) ** 2)) < 1e-12
@@ -306,7 +308,8 @@ class TestMassAndHamiltonian:
         g = grid_small
         c = 1.3 + 0.4j
         k = g.kx[2]
-        v = complex_field(g, c * np.exp(1j * k * g.xg))
+        xg, _, _, _ = meshes(g)
+        v = complex_field(g, c * np.exp(1j * k * xg))
         expect = (k**2 - 1.0 * abs(c) ** 2 / 2) * abs(c) ** 2 * g.lx * g.ly
         assert hamiltonian(v, spec_for(ModelKind.RDS3)) == pytest.approx(expect, rel=1e-12)
 

@@ -101,6 +101,22 @@ class TestSnapshots:
     def test_header_magic_value(self):
         assert MAGIC == b"DSA1"
 
+    @pytest.mark.parametrize(
+        "nx, lx, t, match",
+        [(16, -4.0, 0.0, "invalid grid"), (15, 4.0, 0.0, "invalid grid"), (16, 4.0, np.nan, "time")],
+        ids=["negative-side", "odd-size", "nan-time"],
+    )
+    def test_invalid_header_is_a_format_error(self, tmp_path, nx, lx, t, match):
+        path = tmp_path / "header.snap"
+        header = snapshots_mod._HEADER.pack(MAGIC, 1, nx, 16, lx, 4.0, t, 3, 1.0, -1.0, 1.0, 0.1)
+        path.write_bytes(header + bytes(16 * nx * 16))
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot(path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("ic.kind = gaussian", "ic.kind = file")
+                       + f"\nic.path = {path}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["simulate", str(cfg)]) == 2
+
 
 CONFIG_TEXT = """
 # minimal run configuration
