@@ -18,6 +18,7 @@ from .harness import (
     build_spec,
     format_float,
     ground_state_for,
+    prepare_output_dir,
     read_diagnostics_csv,
     reduced_dynamics,
     require_regularized,
@@ -37,9 +38,7 @@ def _cmd_simulate(args):
 
 def _cmd_ground_state(args):
     cfg = load_config(args.config)
-    if not cfg.output_dir:
-        raise ConfigError("output.dir is required for ground-state solves")
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    prepare_output_dir(cfg, "for ground-state solves")
     gs = ground_state_for(cfg)
     spec = build_spec(cfg)
     s_path = os.path.join(cfg.output_dir, "ground_S.snap")
@@ -68,9 +67,7 @@ def _cmd_ground_state(args):
 def _cmd_modulation(args):
     cfg = load_config(args.config)
     require_regularized(cfg, "modulation")
-    if not cfg.output_dir:
-        raise ConfigError("output.dir is required for modulation runs")
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    prepare_output_dir(cfg, "for modulation runs")
     spec = build_spec(cfg)
     gs = ground_state_for(cfg)
     consts, traj = reduced_dynamics(cfg, gs)

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import ConfigError, ParameterError
-from .grid import Grid2D
+from .grid import check_grid
 from .ground_state import PetviashviliConfig
 from .models import ModelKind, ModelSpec
 from .modulation import ReducedState
@@ -224,7 +224,7 @@ def load_config(path) -> RunConfig:
             _take(pairs, "ground.lx", cfg.lx),
             _take(pairs, "ground.ly", cfg.ly),
         )
-        _build("ground", Grid2D, *cfg.ground_grid)
+        _build("ground", check_grid, *cfg.ground_grid)
     if "sweep.alphas" in pairs:
         cfg.sweep_alphas = parse_alphas(pairs.pop("sweep.alphas"), "sweep.alphas")
     if pairs:
@@ -241,7 +241,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"initial-condition file not found: {cfg.ic_path}")
     if cfg.record_every < 1 or cfg.snapshot_every < 0:
         raise ConfigError("output cadences must be positive (snapshots: 0 disables)")
-    _build("grid", Grid2D, cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    _build("grid", check_grid, cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     _build("model", ModelSpec, cfg.kind, cfg.beta, cfg.rho, cfg.nu, cfg.alpha)
     _build("reduced", ReducedState.initial, cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha,
            b0=cfg.reduced_b0)

@@ -1,4 +1,4 @@
-"""Periodic computational box and its wavenumber tables.
+"""Periodic computational box, its wavenumber tables and its real-data layout.
 
 The box [-lx/2, lx/2) x [-ly/2, ly/2) truncates the plane; sides default to
 64 dimensionless units elsewhere in the package so that exponentially
@@ -8,13 +8,31 @@ constant-coefficient operator an exact diagonal Fourier multiplier.
 Storage layout (fixed so snapshots are bit-comparable across runs): field
 arrays are shaped (nx, ny) with the x index first and stored row-major, so
 the y index varies fastest in memory.
+
+The grid alone knows the real-data layout: a real field (the ground-state
+pair, the linearized corrections, the potential P) has a Hermitian spectrum,
+kept as its ky >= 0 half plane by rfft2/irfft2, summed by hermitian_sum and
+multiplied by real_symbol tables.  FFT_WORKERS (DSALPHA_FFT_WORKERS, default
+1) is the thread count of these and of spectral.py's complex transforms.
 """
 
 import math
+import os
 
 import numpy as np
+import scipy.fft as _fft
 
 from .errors import ParameterError
+
+FFT_WORKERS = int(os.environ.get("DSALPHA_FFT_WORKERS", "1"))
+
+
+def check_grid(nx, ny, lx, ly):
+    """Grid2D's checks of its sizes and sides, without building a grid."""
+    if nx % 2 or ny % 2 or nx < 8 or ny < 8:
+        raise ParameterError(f"grid sizes must be even and >= 8, got {nx}x{ny}")
+    if not (0 < lx < math.inf and 0 < ly < math.inf):
+        raise ParameterError(f"box sides must be positive and finite, got {lx}x{ly}")
 
 
 class Grid2D:
@@ -24,13 +42,11 @@ class Grid2D:
     FFT ordering; the Nyquist mode appears exactly once per axis.  The grid
     keeps its 1-D axes x, y, kx, ky; full tables (r2, k2, the symbols) are
     built from them by broadcasting, x along axis 0 and y along axis 1.
+    Each symbol formula below takes the number m of ky columns it fills.
     """
 
     def __init__(self, nx, ny, lx, ly):
-        if nx % 2 or ny % 2 or nx < 8 or ny < 8:
-            raise ParameterError(f"grid sizes must be even and >= 8, got {nx}x{ny}")
-        if not (0 < lx < math.inf and 0 < ly < math.inf):
-            raise ParameterError(f"box sides must be positive and finite, got {lx}x{ly}")
+        check_grid(nx, ny, lx, ly)
         self.nx = int(nx)
         self.ny = int(ny)
         self.lx = float(lx)
@@ -46,12 +62,8 @@ class Grid2D:
 
         self.kx = 2 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
         self.ky = 2 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
-        self.k2 = self.kx[:, None] ** 2 + self.ky[None, :] ** 2
-
-        # 2/3-rule mask: True where the mode index exceeds 2/3 of Nyquist.
-        mx = np.abs(np.fft.fftfreq(self.nx) * self.nx)
-        my = np.abs(np.fft.fftfreq(self.ny) * self.ny)
-        self.dealias_zero = (mx[:, None] > self.nx / 3) | (my[None, :] > self.ny / 3)
+        self.k2 = self._k2(self.ny)
+        self.dealias_zero = self._dealias_zero(self.ny)
 
         self._multiplier_cache = {}
 
@@ -68,47 +80,72 @@ class Grid2D:
         return f"Grid2D(nx={self.nx}, ny={self.ny}, lx={self.lx}, ly={self.ly})"
 
     def helmholtz_symbol(self, alpha):
+        return self._table("helmholtz", (alpha,), self.ny)
+
+    def e_symbol(self, nu, component="xx"):
+        return self._table("e", (nu, component), self.ny)
+
+    def inverse_one_minus_laplacian_symbol(self):
+        """Symbol of (1 - Lap)^{-1}, the Petviashvili left inverse: B at alpha = 1."""
+        return self.helmholtz_symbol(1.0)
+
+    def rfft2(self, a):
+        """Half-plane spectrum (nx, ny//2 + 1) of a real array."""
+        return _fft.rfft2(a, norm="ortho", workers=FFT_WORKERS)
+
+    def irfft2(self, ah):
+        """The real (nx, ny) array of a half-plane spectrum."""
+        return _fft.irfft2(ah, s=(self.nx, self.ny), norm="ortho", workers=FFT_WORKERS)
+
+    def hermitian_sum(self, p):
+        """Full-plane sum of a real quantity even under k -> -k, from its half
+        plane: the ky = 0 and Nyquist columns appear once in the full plane and
+        every other column twice (once as its mirror), so they weigh 1 and 2."""
+        return float(2.0 * np.sum(p[:, 1:-1]) + np.sum(p[:, 0]) + np.sum(p[:, -1]))
+
+    def real_symbol(self, name, *params):
+        """Symbol `name` (a formula below) on the ky >= 0 columns, cached and
+        contiguous: the rfft2 half plane of any symbol even in ky."""
+        return self._table(name, params, self.ny // 2 + 1)
+
+    def cached(self, key, build):
+        """The table cached on this grid under key; build() makes it on first use."""
+        table = self._multiplier_cache.get(key)
+        if table is None:
+            table = self._multiplier_cache[key] = build()
+        return table
+
+    def _table(self, name, params, m):
+        return self.cached((name, params, m), lambda: getattr(self, "_" + name)(m, *params))
+
+    def _k2(self, m):
+        return self.kx[:, None] ** 2 + self.ky[None, :m] ** 2
+
+    def _dealias_zero(self, m):
+        """2/3-rule mask: True where the mode index exceeds 2/3 of Nyquist."""
+        mx = np.abs(np.fft.fftfreq(self.nx) * self.nx)
+        my = np.abs(np.fft.fftfreq(self.ny) * self.ny)
+        return (mx[:, None] > self.nx / 3) | (my[None, :m] > self.ny / 3)
+
+    def _helmholtz(self, m, alpha):
         """Symbol of (Id - alpha^2 Lap)^{-1}: 1 / (1 + alpha^2 |k|^2)."""
         if alpha <= 0:
             raise ParameterError(f"alpha must be positive, got {alpha}")
-        return self._cached(("helmholtz", float(alpha)), lambda: 1.0 / (1.0 + alpha**2 * self.k2))
+        return 1.0 / (1.0 + alpha**2 * self._k2(m))
 
-    def e_symbol(self, nu, component="xx"):
-        """Symbol of the anisotropic-Poisson velocity operator.
-
-        component "xx": kx^2/(kx^2 + nu ky^2); component "xy":
-        kx*ky/(kx^2 + nu ky^2).  The k = 0 value is defined as 0, which
-        makes every output mean-free (the periodic stand-in for zero
-        boundary conditions at infinity).
-        """
+    def _e(self, m, nu, component):
+        """Anisotropic-Poisson velocity symbol: kx^2 ("xx") or kx*ky ("xy") over
+        kx^2 + nu ky^2, and 0 at k = 0, which makes every output mean-free (the
+        periodic stand-in for zero boundary conditions at infinity)."""
         if nu <= 0:
             raise ParameterError(f"nu must be positive, got {nu}")
         if component not in ("xx", "xy"):
             raise ParameterError(f"unknown E component {component!r}")
+        kx, ky = self.kx[:, None], self.ky[None, :m]
+        denom = kx**2 + nu * ky**2
+        safe = np.where(denom > 0, denom, 1.0)
+        num = kx**2 if component == "xx" else kx * ky
+        return np.where(denom > 0, num / safe, 0.0)
 
-        def build():
-            kx, ky = self.kx[:, None], self.ky[None, :]
-            denom = kx**2 + nu * ky**2
-            safe = np.where(denom > 0, denom, 1.0)
-            num = kx**2 if component == "xx" else kx * ky
-            return np.where(denom > 0, num / safe, 0.0)
-
-        return self._cached(("e", float(nu), component), build)
-
-    def inverse_one_minus_laplacian_symbol(self):
-        """Symbol of (1 - Lap)^{-1}, the Petviashvili left inverse."""
-        return self._cached(("inv1mlap",), lambda: 1.0 / (1.0 + self.k2))
-
-    def half_plane(self, sym):
-        """The rfft2 (ky >= 0) columns of a full-plane symbol, as a view.
-
-        Column ny/2 holds ky = -Nyquist, so this matches the rfft2 layout
-        for every symbol even in ky (k^2, E_xx and the inverses here).
-        """
-        return sym[:, : self.ny // 2 + 1]
-
-    def _cached(self, key, build):
-        sym = self._multiplier_cache.get(key)
-        if sym is None:
-            sym = self._multiplier_cache[key] = build()
-        return sym
+    def _one_minus_laplacian(self, m):
+        return 1.0 + self._k2(m)

@@ -23,10 +23,9 @@ residual still meets `tol`, and each loose stage only has to hand the next
 one a start inside its basin of convergence (Pelinovsky & Stepanyants,
 SIAM J. Numer. Anal. 42, 2004).  With rho = 0 the single stage runs to tol.
 
-S, X and every product of them are real, so the solver runs on real
-transforms (rfft2/irfft2) with the ky >= 0 half plane of each cached symbol,
-and its spectral sums weight that half plane Hermitian-wise.
-residual_norm stays on complex transforms as the independent check.
+S, X and every product of them are real, so the solver runs on the grid's
+real layout (rfft2, real_symbol, hermitian_sum); residual_norm stays on
+complex transforms as the independent check.
 """
 
 import math
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateLimitError, GridMismatchError, ParameterError
 from .fields import Field
 from .grid import Grid2D
-from .spectral import fft2, half_plane_sum, ifft2, irfft2, l2_norm_values, rfft2
+from .spectral import fft2, ifft2, l2_norm_values
 
 
 @dataclass
@@ -109,9 +108,9 @@ def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> flo
 
 def _petviashvili(S, grid, beta, rho, nu, cfg):
     """Iterate at fixed parameters from S; returns (S, X = E(S^2), residual)."""
-    inv = grid.half_plane(grid.inverse_one_minus_laplacian_symbol())
-    e_xx = grid.half_plane(grid.e_symbol(nu, "xx"))
-    one_minus_lap = 1.0 + grid.half_plane(grid.k2)
+    inv = grid.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
+    e_xx = grid.real_symbol("e", nu, "xx")
+    one_minus_lap = grid.real_symbol("one_minus_laplacian")
     scale0 = float(np.max(np.abs(S)))
 
     def evaluate(S):
@@ -120,22 +119,22 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
         The residual (1 - Lap) S - N(S) is measured in spectral space
         (Plancherel), so N's spectrum serves both it and the next sweep.
         """
-        Sh = rfft2(S)
-        X = irfft2(e_xx * rfft2(S * S), grid)
-        Nh = rfft2(beta * S**3 - rho * S * X)
-        defect = half_plane_sum(np.abs(Nh - one_minus_lap * Sh) ** 2)
+        Sh = grid.rfft2(S)
+        X = grid.irfft2(e_xx * grid.rfft2(S * S))
+        Nh = grid.rfft2(beta * S**3 - rho * S * X)
+        defect = grid.hermitian_sum(np.abs(Nh - one_minus_lap * Sh) ** 2)
         return Sh, X, Nh, math.sqrt(defect * grid.cell_area)
 
     Sh, X, Nh, residual = evaluate(S)
     for _ in range(cfg.max_iter):
-        denom = half_plane_sum((np.conj(Sh) * Nh).real)
+        denom = grid.hermitian_sum((np.conj(Sh) * Nh).real)
         if denom <= 0:
             raise DegenerateLimitError(
                 "Petviashvili normalization lost positivity; "
                 "no focusing ground state at these parameters"
             )
-        M = half_plane_sum(one_minus_lap * np.abs(Sh) ** 2) / denom
-        S = symmetrize_even(M**cfg.gamma * irfft2(inv * Nh, grid))
+        M = grid.hermitian_sum(one_minus_lap * np.abs(Sh) ** 2) / denom
+        S = symmetrize_even(M**cfg.gamma * grid.irfft2(inv * Nh))
         if float(np.max(np.abs(S))) < 1e-8 * scale0:
             raise DegenerateLimitError("iterate collapsed to the trivial solution")
         Sh, X, Nh, residual = evaluate(S)
@@ -178,7 +177,7 @@ def solve_ground_state(
 
     da = grid.cell_area
     f = S * S
-    grad_f_sq = half_plane_sum(grid.half_plane(grid.k2) * np.abs(rfft2(f)) ** 2) * da
+    grad_f_sq = grid.hermitian_sum(grid.real_symbol("k2") * np.abs(grid.rfft2(f)) ** 2) * da
     return GroundState(
         S=Field(grid, S),
         X=Field(grid, X),

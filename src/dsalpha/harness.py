@@ -105,6 +105,15 @@ def ground_state_for(cfg: RunConfig, grid: Optional[Grid2D] = None) -> GroundSta
     return solve_ground_state(grid, cfg.beta, cfg.rho, cfg.nu, cfg.petviashvili)
 
 
+def prepare_output_dir(cfg: RunConfig, purpose: str) -> None:
+    """Create output.dir and check it is writable; unset, it is a ConfigError."""
+    if not cfg.output_dir:
+        raise ConfigError(f"output.dir is required {purpose}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    if not os.access(cfg.output_dir, os.W_OK):
+        raise ConfigError(f"output directory not writable: {cfg.output_dir}")
+
+
 def require_regularized(cfg: RunConfig, command: str) -> None:
     """The reduced dynamics (modulation, sweep) exist for the RDS kinds only."""
     if cfg.kind is ModelKind.DSE:
@@ -135,11 +144,7 @@ def run_simulation(
     grad_ref: Optional[float] = None,
 ) -> SimulationArtifacts:
     """Run one simulation as configured, writing all artifacts to disk."""
-    if not cfg.output_dir:
-        raise ConfigError("output.dir is required to run a simulation")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if not os.access(cfg.output_dir, os.W_OK):
-        raise ConfigError(f"output directory not writable: {cfg.output_dir}")
+    prepare_output_dir(cfg, "to run a simulation")
 
     grid = build_grid(cfg)
     spec = build_spec(cfg)
@@ -214,9 +219,7 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
     if any(a <= 0 for a in alphas):
         raise ConfigError("sweep alphas must all be positive")
     require_regularized(cfg, "sweep")
-    if not cfg.output_dir:
-        raise ConfigError("output.dir is required for a sweep")
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    prepare_output_dir(cfg, "for a sweep")
 
     if ground is None:
         ground = ground_state_for(cfg)

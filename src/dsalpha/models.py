@@ -13,8 +13,8 @@ I = |v_d|^2 (v_d the 2/3-rule dealiased v) and keep the 2/3 mask,
     RDS3   0       keep * (beta B - rho B E B)
 
 with B the Helmholtz inverse (Id - alpha^2 Lap)^{-1} and E the anisotropic
-Poisson velocity operator (its xx symbol).  Q is one real half-plane symbol
-per (grid, model), built on first use and cached on the grid.  Each
+Poisson velocity operator (its xx symbol).  Q is one real-layout symbol per
+(grid, model), built on first use from the grid's own and cached there.  Each
 interaction energy is a quadratic form in I with variational derivative P,
 so every kind conserves
 
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import Field
 from .grid import Grid2D
-from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2, irfft2, rfft2
+from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2
 
 
 class ModelKind(Enum):
@@ -100,21 +100,21 @@ class ModelSpec:
 
 
 def _potential_symbol(grid: Grid2D, spec: ModelSpec):
-    """(local, Q) of the table in the module docstring; Q on the rfft2 half plane."""
+    """(local, Q) of the table in the module docstring; Q on the grid's real layout."""
 
     def build():
-        e = grid.e_symbol(spec.nu, "xx")
+        e = grid.real_symbol("e", spec.nu, "xx")
         if spec.kind in _SMOOTH_NONLOCAL:
-            b = grid.helmholtz_symbol(spec.alpha)
+            b = grid.real_symbol("helmholtz", spec.alpha)
             e = b * e * b
         q = -spec.rho * e
         if spec.kind in _SMOOTH_CUBIC:
-            q = q + spec.beta * grid.helmholtz_symbol(spec.alpha)
-        q[grid.dealias_zero] = 0.0
-        return np.ascontiguousarray(grid.half_plane(q))
+            q = q + spec.beta * grid.real_symbol("helmholtz", spec.alpha)
+        q[grid.real_symbol("dealias_zero")] = 0.0
+        return q
 
     local = 0.0 if spec.kind in _SMOOTH_CUBIC else spec.beta
-    return local, grid._cached(("potential", spec), build)
+    return local, grid.cached(("potential", spec), build)
 
 
 def _intensity_and_potential(vh, grid: Grid2D, spec: ModelSpec):
@@ -126,7 +126,7 @@ def _intensity_and_potential(vh, grid: Grid2D, spec: ModelSpec):
     vd = ifft2(dealias_spectrum(vh, grid))
     intensity = (vd * vd.conj()).real
     del vd  # free v_d before the real transforms allocate theirs
-    p = irfft2(q * rfft2(intensity), grid)
+    p = grid.irfft2(q * grid.rfft2(intensity))
     if local:
         p += local * intensity
     return intensity, p

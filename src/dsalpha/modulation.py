@@ -15,7 +15,7 @@ variable; the adjoint kernel of the full block system is spanned by odd
 (translation) modes, so the symmetry restriction enforces solvability
 orthogonality without constructing antiderivative fields.  Every operand is
 real, so the operator, the preconditioner and the right-hand sides run on
-real transforms with the half-plane slices of the grid's symbols.
+the grid's real transforms and real symbols.
 
 The reduced scale dynamics integrates the saturated (equality) form of the
 modulation inequality,
@@ -44,7 +44,7 @@ from .errors import (
 from .fields import Field
 from .ground_state import GroundState, symmetrize_even
 from .models import ModelKind, ModelSpec
-from .spectral import irfft2, l2_norm_values, rfft2
+from .spectral import l2_norm_values
 
 # Samples kept of a reduced trajectory that t_eval does not fix.
 MAX_SAMPLES = 4000
@@ -161,9 +161,9 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     S = ground.S.values
     X = ground.X.values
     beta, rho, nu = ground.beta, ground.rho, ground.nu
-    e_xx = g.half_plane(g.e_symbol(nu, "xx"))
-    k2 = g.half_plane(g.k2)
-    inv = g.half_plane(g.inverse_one_minus_laplacian_symbol())
+    e_xx = g.real_symbol("e", nu, "xx")
+    k2 = g.real_symbol("k2")
+    inv = g.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
     n = g.nx * g.ny
 
     f = S * S
@@ -171,10 +171,10 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     if mode == "GY":
         rhs = -0.25 * g.r2 * S
     else:
-        lap_fh = -k2 * rfft2(f)
-        lap_f = irfft2(lap_fh, g)
-        lap_X = irfft2(-k2 * rfft2(X), g)
-        e_lap_f = irfft2(e_xx * lap_fh, g)
+        lap_fh = -k2 * g.rfft2(f)
+        lap_f = g.irfft2(lap_fh)
+        lap_X = g.irfft2(-k2 * g.rfft2(X))
+        e_lap_f = g.irfft2(e_xx * lap_fh)
         rhs = -beta * S * lap_f + rho * S * lap_X + rho * S * e_lap_f
     rhs = symmetrize_even(rhs)
     rhs_norm = l2_norm_values(rhs, g)
@@ -183,12 +183,12 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
 
     def apply_a(u):
         u = u.reshape(g.nx, g.ny)
-        lap_u = irfft2(-k2 * rfft2(u), g)
-        nonloc = S * irfft2(e_xx * rfft2(S * u), g)
+        lap_u = g.irfft2(-k2 * g.rfft2(u))
+        nonloc = S * g.irfft2(e_xx * g.rfft2(S * u))
         return (lap_u - u + coeff * u - 2.0 * rho * nonloc).ravel()
 
     def apply_pre(u):
-        return irfft2(inv * rfft2(u.reshape(g.nx, g.ny)), g).ravel()
+        return g.irfft2(inv * g.rfft2(u.reshape(g.nx, g.ny))).ravel()
 
     iterations = 0
 
@@ -213,7 +213,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         )
 
     # translation (adjoint-kernel) contamination must be at roundoff level
-    s_x = irfft2(1j * g.kx[:, None] * rfft2(S), g)
+    s_x = g.irfft2(1j * g.kx[:, None] * g.rfft2(S))
     norm_first = l2_norm_values(first, g)
     if norm_first > 0:
         overlap = abs(np.sum(first * s_x)) * g.cell_area
@@ -223,7 +223,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
                 f"linearized {mode} solution has odd-kernel overlap {overlap / denom:.3e}"
             )
 
-    second = 2.0 * irfft2(e_xx * rfft2(S * first), g)
+    second = 2.0 * g.irfft2(e_xx * g.rfft2(S * first))
     if mode == "HZ":
         second = second + e_lap_f
 

@@ -1,4 +1,4 @@
-"""Fourier transforms and diagonal multiplier operators on the periodic box.
+"""Complex Fourier transforms and diagonal multiplier operators on the periodic box.
 
 Transform normalization (fixed, documented): both directions use the
 unitary ("ortho") convention, so Plancherel holds with the same cell-area
@@ -7,53 +7,29 @@ single coefficient of modulus sqrt(nx*ny).
 
 Spectra are plain arrays: fft2, ifft2, dealias_spectrum and the norms work
 on arrays, and the Field-level operators below take and return
-physical-space Fields.  A real array has a Hermitian spectrum, so rfft2
-keeps only its ky >= 0 half plane (Grid2D.half_plane slices a symbol to
-match), irfft2 returns a real array, and half_plane_sum recovers a
-full-plane sum from the half plane.  All operators here are diagonal in
-spectral space and therefore commute.  Thread count for the transforms is
-controlled by the DSALPHA_FFT_WORKERS environment variable (default 1);
-results are deterministic for a fixed grid and worker count.
+physical-space Fields.  Real fields and their half-plane spectra belong to
+Grid2D (rfft2, irfft2, hermitian_sum, real_symbol).  All operators here are
+diagonal in spectral space and therefore commute.  The transforms run on
+grid.FFT_WORKERS threads; results are deterministic for a fixed grid and
+worker count.
 """
-
-import os
 
 import numpy as np
 import scipy.fft as _fft
 
 from .errors import ParameterError
 from .fields import Field
-
-_WORKERS = int(os.environ.get("DSALPHA_FFT_WORKERS", "1"))
+from .grid import FFT_WORKERS
 
 
 # -- array-level kernel, used by the hot stepping loop ----------------------
 
 def fft2(a):
-    return _fft.fft2(a, norm="ortho", workers=_WORKERS)
+    return _fft.fft2(a, norm="ortho", workers=FFT_WORKERS)
 
 
 def ifft2(a):
-    return _fft.ifft2(a, norm="ortho", workers=_WORKERS)
-
-
-def rfft2(a):
-    """Half-plane spectrum (nx, ny//2 + 1) of a real array."""
-    return _fft.rfft2(a, norm="ortho", workers=_WORKERS)
-
-
-def irfft2(ah, grid):
-    """Real array on `grid` from its half-plane spectrum."""
-    return _fft.irfft2(ah, s=(grid.nx, grid.ny), norm="ortho", workers=_WORKERS)
-
-
-def half_plane_sum(p):
-    """Full-plane sum of a real quantity even under k -> -k, from its half plane.
-
-    The ky = 0 and Nyquist columns appear once in the full plane and every
-    other column twice (once as its mirror), so they carry weights 1 and 2.
-    """
-    return float(2.0 * np.sum(p[:, 1:-1]) + np.sum(p[:, 0]) + np.sum(p[:, -1]))
+    return _fft.ifft2(a, norm="ortho", workers=FFT_WORKERS)
 
 
 def dealias_spectrum(ah, grid):

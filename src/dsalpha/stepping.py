@@ -271,7 +271,9 @@ def integrate(
         if dt < control.dt_min:
             status = RunStatus.DT_UNDERFLOW
             break
-        last = t + dt >= control.t_end
+        # a sum of fixed steps can fall short of t_end by up to an ulp of
+        # t_end per step; a remainder that small is roundoff, not a step
+        last = t + dt >= control.t_end - (steps + 1) * np.spacing(control.t_end)
         if last:
             dt = control.t_end - t
 

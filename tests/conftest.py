@@ -8,6 +8,7 @@ os.environ.setdefault("DSALPHA_FFT_WORKERS", "2")
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from dsalpha import Grid2D, solve_ground_state
 
@@ -53,6 +54,19 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+# the scipy.fft entry points, as the benchmark's tracer lists them
+TRANSFORM_ENTRY_POINTS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+)
+
+
+def count_transforms(monkeypatch):
+    """Count transforms where the benchmark does, at the scipy.fft entry
+    points; the returned list gains the entry point's name per call."""
+    return count_calls(monkeypatch, scipy.fft, *TRANSFORM_ENTRY_POINTS)
 
 
 def random_complex(rng, grid):

@@ -8,23 +8,21 @@ from hypothesis import strategies as st
 from dsalpha import (
     Field,
     Grid2D,
+    ModelKind,
+    ModelSpec,
     ParameterError,
+    PetviashviliConfig,
+    StepControl,
     complex_field,
     e_multiplier,
     helmholtz_inverse,
+    integrate,
     l2_norm,
     residual_norm,
+    solve_ground_state,
 )
 from dsalpha.harness import gaussian_state
-from dsalpha.spectral import (
-    dealias_spectrum,
-    fft2,
-    half_plane_sum,
-    ifft2,
-    irfft2,
-    l2_norm_values,
-    rfft2,
-)
+from dsalpha.spectral import dealias_spectrum, fft2, ifft2, l2_norm_values
 from conftest import random_complex
 from oracles import meshes
 
@@ -134,9 +132,13 @@ class TestRealTransformProperty:
     ):
         g = Grid2D(nx, ny, lx, ly)
         a = np.random.default_rng(seed).standard_normal((nx, ny))
-        for sym in (g.k2, g.inverse_one_minus_laplacian_symbol(), g.e_symbol(nu, "xx"),
-                    g.helmholtz_symbol(alpha)):
-            got = irfft2(g.half_plane(sym) * rfft2(a), g)
+        for sym, name, params in (
+            (g.k2, "k2", ()),
+            (g.inverse_one_minus_laplacian_symbol(), "helmholtz", (1.0,)),
+            (g.e_symbol(nu, "xx"), "e", (nu, "xx")),
+            (g.helmholtz_symbol(alpha), "helmholtz", (alpha,)),
+        ):
+            got = g.irfft2(g.real_symbol(name, *params) * g.rfft2(a))
             want = ifft2(sym * fft2(a)).real
             assert got.shape == (nx, ny) and np.isrealobj(got)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -148,13 +150,49 @@ class TestRealTransformProperty:
         g = Grid2D(nx, ny, lx, ly)
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((2, nx, ny))
-        got = half_plane_sum((np.conj(rfft2(a)) * rfft2(b)).real)
+        got = g.hermitian_sum((np.conj(g.rfft2(a)) * g.rfft2(b)).real)
         full = np.conj(fft2(a)) * fft2(b)
         assert abs(got - np.sum(full).real) <= 1e-13 * np.sum(np.abs(full))
-        sym = g.half_plane(g.helmholtz_symbol(alpha))
-        weighted = half_plane_sum(sym * np.abs(rfft2(a)) ** 2)
+        sym = g.real_symbol("helmholtz", alpha)
+        weighted = g.hermitian_sum(sym * np.abs(g.rfft2(a)) ** 2)
         want = np.sum(g.helmholtz_symbol(alpha) * np.abs(fft2(a)) ** 2)
         assert weighted == pytest.approx(want, rel=1e-13)
+
+
+class TestRealLayoutCache:
+    @pytest.mark.parametrize("nx, ny", [(64, 48), (48, 64)])
+    def test_real_tables_are_contiguous_ky_nonnegative_columns(self, nx, ny):
+        # every cached table the real pipelines read, after a Petviashvili
+        # solve and an RDS3 run on a fresh grid: C-contiguous on the half
+        # plane, and bit for bit the ky >= 0 columns of its full-plane symbol
+        g = Grid2D(nx, ny, 24.0, 20.0)
+        solve_ground_state(g, 1.0, -1.0, 1.0, PetviashviliConfig(continuation_steps=2))
+        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+        integrate(gaussian_state(g, 1.5, 1.0), spec,
+                  StepControl(dt=1e-2, dt_max=1e-2, adaptive=False, t_end=0.05))
+        real = {key: t for key, t in g._multiplier_cache.items() if t.shape != (nx, ny)}
+
+        e, b = g.e_symbol(spec.nu, "xx"), g.helmholtz_symbol(spec.alpha)
+        q = -spec.rho * (b * e * b) + spec.beta * b
+        q[g.dealias_zero] = 0.0
+        full = {
+            "k2": lambda: g.k2,
+            "e": lambda nu, component: g.e_symbol(nu, component),
+            "helmholtz": lambda alpha: g.helmholtz_symbol(alpha),
+            "one_minus_laplacian": lambda: 1.0 + g.k2,
+            "dealias_zero": lambda: g.dealias_zero,
+        }
+        assert sorted(key[:2] for key in real if key[0] != "potential") == [
+            ("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (0.3,)),
+            ("helmholtz", (1.0,)), ("k2", ()), ("one_minus_laplacian", ()),
+        ]
+        assert ("potential", spec) in real
+        for key, table in real.items():
+            name, *rest = key
+            want = q if name == "potential" else full[name](*rest[0])
+            assert table.flags.c_contiguous and table.shape == (nx, ny // 2 + 1)
+            assert table.dtype == want.dtype
+            assert table.tobytes() == want[:, : ny // 2 + 1].tobytes()
 
 
 class TestHelmholtzInverse:

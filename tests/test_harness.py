@@ -274,6 +274,17 @@ class TestCli:
         assert "regularized kinds only" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["ground-state"], ["modulation"], ["sweep", "--alphas=0.1,0.2"],
+    ])
+    def test_missing_output_dir_exit_two(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        text = CONFIG_TEMPLATE.replace("output.dir = {out}\n", "")
+        assert "output.dir" not in text
+        cfg.write_text(text)
+        assert cli_main([argv[0], str(cfg), *argv[1:]]) == 2
+        assert "output.dir is required" in capsys.readouterr().err
+
     def test_fit_subcommand(self, tmp_path, capsys):
         ts = np.linspace(0.0, 0.999, 300)
         from dsalpha.stepping import DiagnosticsRecord

@@ -13,7 +13,7 @@ from dsalpha.ground_state import PetviashviliConfig
 import dsalpha.snapshots as snapshots_mod
 from dsalpha.snapshots import MAGIC, read_snapshot, write_snapshot
 from dsalpha.stepping import StepControl
-from conftest import random_complex
+from conftest import count_calls, random_complex
 
 
 @pytest.fixture()
@@ -229,6 +229,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=line.split(".")[0]):
             load_config(p)
         assert cli_main(["simulate", str(p)]) == 2
+
+    def test_grid_numbers_checked_without_building_a_grid(self, tmp_path, monkeypatch):
+        built = count_calls(monkeypatch, Grid2D, "__init__")
+        p = tmp_path / "big.cfg"
+        p.write_text(CONFIG_TEXT.replace("= 64", "= 1280")
+                     + "ground.nx = 1280\nground.ny = 1280\nground.lx = 48\n")
+        cfg = load_config(p)
+        assert (cfg.nx, cfg.ground_grid) == (1280, (1280, 1280, 48.0, 16.0))
+        assert built == []
 
     def test_repeated_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
