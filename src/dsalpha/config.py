@@ -4,15 +4,17 @@ The format is deliberately parser-free: one "dotted.key = value" pair per
 line, "#" starts a comment.  A key not listed here is an error, and so are
 a repeated key, a non-finite number (nan, inf) and an invalid value in any
 section: every setting is checked here, at load, by the object it
-configures.  Recognized keys (defaults in brackets):
+configures.  Each key sets one field (_KEYS) of RunConfig, StepControl
+(step.*) or PetviashviliConfig (ground.tol, ground.max_iter,
+ground.continuation_steps); a key left out keeps that field's default.
 
-    model.kind              dse | rds1 | rds2 | rds3
-    model.beta  model.rho   reals
-    model.nu                positive real
+    model.kind              dse | rds1 | rds2 | rds3      (required)
+    model.beta  model.rho   reals                         (required)
+    model.nu                positive real                 (required)
     model.alpha             nonnegative real (0 only for dse)
 
-    grid.nx  grid.ny        even integers >= 8            [256, 256]
-    grid.lx  grid.ly        positive reals                [64, 64]
+    grid.nx  grid.ny        even integers >= 8
+    grid.lx  grid.ly        positive reals
 
     step.dt                 initial/fixed step
     step.dt_min step.dt_max step bounds
@@ -20,29 +22,27 @@ configures.  Recognized keys (defaults in brackets):
     step.cfl_const          phase-advance bound
     step.t_end              final time
     step.amp_max            blow-up amplitude threshold
-                            (defaults: those of stepping.StepControl)
-    step.stepper            strang | ifrk4                [strang]
-                            (both honour step.adaptive and output.snapshot_every)
+    step.stepper            strang | ifrk4, both honouring step.adaptive
+                            and output.snapshot_every
 
-    ic.kind                 gaussian | file               [gaussian]
-    ic.amplitude ic.width   Gaussian parameters           [1.0, 1.0]
-    ic.center_x ic.center_y Gaussian center               [0, 0]
-    ic.chirp                quadratic phase coefficient   [0.0]
+    ic.kind                 gaussian | file
+    ic.amplitude ic.width   Gaussian amplitude and positive width
+    ic.center_x ic.center_y Gaussian center
+    ic.chirp                quadratic phase coefficient
     ic.path                 snapshot path for ic.kind=file
 
-    output.dir              output directory              [required for runs]
-    output.record_every     record cadence in steps       [10]
-    output.snapshot_every   snapshot cadence in steps, 0=off  [0]
+    output.dir              output directory (required for runs)
+    output.record_every     record cadence in steps
+    output.snapshot_every   snapshot cadence in steps, 0=off
 
-    ground.gamma ground.tol ground.max_iter ground.continuation_steps
+    ground.tol ground.max_iter ground.continuation_steps
                             Petviashvili settings
-                            (defaults: those of ground_state.PetviashviliConfig)
     ground.nx ground.ny ground.lx ground.ly
-                            ground-state grid             [grid.* values]
+                            ground-state grid (default: the grid.* values)
 
-    reduced.l0 reduced.lt0  initial scale data            [1.0, -1.0]
+    reduced.l0 reduced.lt0  initial scale data
     reduced.b0              initial b (default (l0*lt0)^2)
-    reduced.t_end           reduced-ODE horizon           [step.t_end]
+    reduced.t_end           positive reduced-ODE horizon (default step.t_end)
 
     sweep.alphas            comma-separated alpha list (CLI --alphas overrides)
 """
@@ -103,36 +103,6 @@ def parse_alphas(raw: str, source: str) -> List[float]:
         raise ConfigError(f"{source}: cannot parse {raw!r} as finite numbers") from None
 
 
-_REQUIRED = object()
-
-# the config keys step.<field> and ground.<field>, with their casts
-_STEP_CASTS = {"dt": _finite, "dt_min": _finite, "dt_max": _finite, "adaptive": _bool,
-               "cfl_const": _finite, "t_end": _finite, "amp_max": _finite}
-_GROUND_CASTS = {"gamma": _finite, "tol": _finite, "max_iter": int, "continuation_steps": int}
-
-
-def _take(pairs, key, default=_REQUIRED, cast=_finite):
-    """Remove key from pairs and return its value cast, or the default."""
-    if key not in pairs:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    raw = pairs.pop(key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-
-
-def _section(pairs, prefix, casts) -> dict:
-    """The keys prefix.<name> present in pairs, cast and keyed by name."""
-    return {
-        name: _take(pairs, f"{prefix}.{name}", cast=cast)
-        for name, cast in casts.items()
-        if f"{prefix}.{name}" in pairs
-    }
-
-
 def _build(section, factory, *args, **kwargs):
     """factory(*args, **kwargs), its ParameterError reported as a ConfigError."""
     try:
@@ -147,7 +117,7 @@ class RunConfig:
     beta: float
     rho: float
     nu: float
-    alpha: float
+    alpha: float = 0.0
 
     nx: int = 256
     ny: int = 256
@@ -155,12 +125,12 @@ class RunConfig:
     ly: float = 64.0
 
     control: StepControl = field(default_factory=StepControl)
-    stepper: str = "strang"
 
     ic_kind: str = "gaussian"
     ic_amplitude: float = 1.0
     ic_width: float = 1.0
-    ic_center: tuple = (0.0, 0.0)
+    ic_center_x: float = 0.0
+    ic_center_y: float = 0.0
     ic_chirp: float = 0.0
     ic_path: Optional[str] = None
 
@@ -179,61 +149,81 @@ class RunConfig:
     sweep_alphas: List[float] = field(default_factory=list)
 
 
+# every config key: the object that owns it, its field there, its cast.  The
+# ground.* grid keys are check_grid's arguments, defaulting to the run grid.
+_KEYS = {
+    "model.kind": (RunConfig, "kind", lambda raw: ModelKind(raw.lower())),
+    "model.beta": (RunConfig, "beta", _finite),
+    "model.rho": (RunConfig, "rho", _finite),
+    "model.nu": (RunConfig, "nu", _finite),
+    "model.alpha": (RunConfig, "alpha", _finite),
+    "grid.nx": (RunConfig, "nx", int),
+    "grid.ny": (RunConfig, "ny", int),
+    "grid.lx": (RunConfig, "lx", _finite),
+    "grid.ly": (RunConfig, "ly", _finite),
+    "step.dt": (StepControl, "dt", _finite),
+    "step.dt_min": (StepControl, "dt_min", _finite),
+    "step.dt_max": (StepControl, "dt_max", _finite),
+    "step.adaptive": (StepControl, "adaptive", _bool),
+    "step.cfl_const": (StepControl, "cfl_const", _finite),
+    "step.t_end": (StepControl, "t_end", _finite),
+    "step.amp_max": (StepControl, "amp_max", _finite),
+    "step.stepper": (StepControl, "stepper", str.lower),
+    "ic.kind": (RunConfig, "ic_kind", str.lower),
+    "ic.amplitude": (RunConfig, "ic_amplitude", _finite),
+    "ic.width": (RunConfig, "ic_width", _finite),
+    "ic.center_x": (RunConfig, "ic_center_x", _finite),
+    "ic.center_y": (RunConfig, "ic_center_y", _finite),
+    "ic.chirp": (RunConfig, "ic_chirp", _finite),
+    "ic.path": (RunConfig, "ic_path", str),
+    "output.dir": (RunConfig, "output_dir", str),
+    "output.record_every": (RunConfig, "record_every", int),
+    "output.snapshot_every": (RunConfig, "snapshot_every", int),
+    "ground.tol": (PetviashviliConfig, "tol", _finite),
+    "ground.max_iter": (PetviashviliConfig, "max_iter", int),
+    "ground.continuation_steps": (PetviashviliConfig, "continuation_steps", int),
+    "ground.nx": (check_grid, "nx", int),
+    "ground.ny": (check_grid, "ny", int),
+    "ground.lx": (check_grid, "lx", _finite),
+    "ground.ly": (check_grid, "ly", _finite),
+    "reduced.l0": (RunConfig, "reduced_l0", _finite),
+    "reduced.lt0": (RunConfig, "reduced_lt0", _finite),
+    "reduced.b0": (RunConfig, "reduced_b0", _finite),
+    "reduced.t_end": (RunConfig, "reduced_t_end", _finite),
+    "sweep.alphas": (RunConfig, "sweep_alphas", lambda raw: parse_alphas(raw, "sweep.alphas")),
+}
+
+
 def load_config(path) -> RunConfig:
     pairs = parse_kv_file(path)
-
-    kind_raw = _take(pairs, "model.kind", cast=str).lower()
-    try:
-        kind = ModelKind(kind_raw)
-    except ValueError:
-        raise ConfigError(f"model.kind must be one of dse/rds1/rds2/rds3, got {kind_raw!r}")
+    for key in ("model.kind", "model.beta", "model.rho", "model.nu"):
+        if key not in pairs:
+            raise ConfigError(f"missing required config key {key!r}")
+    unknown = sorted(set(pairs) - set(_KEYS))
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(repr(k) for k in unknown))
+    given = {RunConfig: {}, StepControl: {}, PetviashviliConfig: {}, check_grid: {}}
+    for key, raw in pairs.items():
+        owner, name, cast = _KEYS[key]
+        try:
+            given[owner][name] = cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
 
     cfg = RunConfig(
-        kind=kind,
-        beta=_take(pairs, "model.beta"),
-        rho=_take(pairs, "model.rho"),
-        nu=_take(pairs, "model.nu"),
-        alpha=_take(pairs, "model.alpha", 0.0),
-        nx=_take(pairs, "grid.nx", 256, int),
-        ny=_take(pairs, "grid.ny", 256, int),
-        lx=_take(pairs, "grid.lx", 64.0),
-        ly=_take(pairs, "grid.ly", 64.0),
-        control=_build("step", StepControl, **_section(pairs, "step", _STEP_CASTS)),
-        stepper=_take(pairs, "step.stepper", "strang", str).lower(),
-        ic_kind=_take(pairs, "ic.kind", "gaussian", str).lower(),
-        ic_amplitude=_take(pairs, "ic.amplitude", 1.0),
-        ic_width=_take(pairs, "ic.width", 1.0),
-        ic_center=(_take(pairs, "ic.center_x", 0.0), _take(pairs, "ic.center_y", 0.0)),
-        ic_chirp=_take(pairs, "ic.chirp", 0.0),
-        ic_path=_take(pairs, "ic.path", None, str),
-        output_dir=_take(pairs, "output.dir", None, str),
-        record_every=_take(pairs, "output.record_every", 10, int),
-        snapshot_every=_take(pairs, "output.snapshot_every", 0, int),
-        petviashvili=_build(
-            "ground", PetviashviliConfig, **_section(pairs, "ground", _GROUND_CASTS)
-        ),
-        reduced_l0=_take(pairs, "reduced.l0", 1.0),
-        reduced_lt0=_take(pairs, "reduced.lt0", -1.0),
-        reduced_b0=_take(pairs, "reduced.b0", None),
-        reduced_t_end=_take(pairs, "reduced.t_end", None),
+        control=_build("step", StepControl, **given[StepControl]),
+        petviashvili=_build("ground", PetviashviliConfig, **given[PetviashviliConfig]),
+        **given[RunConfig],
     )
-    if any(k in pairs for k in ("ground.nx", "ground.ny", "ground.lx", "ground.ly")):
-        cfg.ground_grid = (
-            _take(pairs, "ground.nx", cfg.nx, int),
-            _take(pairs, "ground.ny", cfg.ny, int),
-            _take(pairs, "ground.lx", cfg.lx),
-            _take(pairs, "ground.ly", cfg.ly),
-        )
+    if given[check_grid]:
+        run_grid = {"nx": cfg.nx, "ny": cfg.ny, "lx": cfg.lx, "ly": cfg.ly}
+        cfg.ground_grid = tuple({**run_grid, **given[check_grid]}.values())
         _build("ground", check_grid, *cfg.ground_grid)
-    if "sweep.alphas" in pairs:
-        cfg.sweep_alphas = parse_alphas(pairs.pop("sweep.alphas"), "sweep.alphas")
-    if pairs:
-        raise ConfigError("unknown config key " + ", ".join(repr(k) for k in sorted(pairs)))
 
-    if cfg.stepper not in ("strang", "ifrk4"):
-        raise ConfigError(f"step.stepper must be strang or ifrk4, got {cfg.stepper!r}")
     if cfg.ic_kind not in ("gaussian", "file"):
         raise ConfigError(f"ic.kind must be gaussian or file, got {cfg.ic_kind!r}")
+    if cfg.ic_width <= 0:
+        raise ConfigError(f"ic.width must be positive, got {cfg.ic_width}")
     if cfg.ic_kind == "file":
         if not cfg.ic_path:
             raise ConfigError("ic.kind=file requires ic.path")
@@ -241,6 +231,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"initial-condition file not found: {cfg.ic_path}")
     if cfg.record_every < 1 or cfg.snapshot_every < 0:
         raise ConfigError("output cadences must be positive (snapshots: 0 disables)")
+    if cfg.reduced_t_end is not None and cfg.reduced_t_end <= 0:
+        raise ConfigError(f"reduced.t_end must be positive, got {cfg.reduced_t_end}")
     _build("grid", check_grid, cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     _build("model", ModelSpec, cfg.kind, cfg.beta, cfg.rho, cfg.nu, cfg.alpha)
     _build("reduced", ReducedState.initial, cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha,

@@ -5,8 +5,9 @@ Solves, with lambda fixed to 1 (other values reachable by rescaling),
     Lap S - S + beta S^3 - rho S X = 0,      X = E(S^2),
 
 as the single fixed-point equation S = (1 - Lap)^{-1} [beta S^3 - rho S E(S^2)]
-stabilized by the Petviashvili factor M^gamma.  The nonlinearity is cubic
-(E is linear), so the standard exponent gamma = 3/2 applies.  The iterate
+stabilized by the Petviashvili factor M^{3/2}.  The nonlinearity is cubic
+(E is linear), and for degree p = 3 the exponent p/(p - 1) = 3/2 zeroes the
+sweep's eigenvalue p - gamma (p - 1) along S itself.  The iterate
 is symmetrized to be even in both variables every sweep: this pins
 translation invariance and enforces the evenness under which the
 linearized solves downstream are well posed.  Each sweep evaluates S's
@@ -42,14 +43,11 @@ from .spectral import fft2, ifft2, l2_norm_values
 
 @dataclass
 class PetviashviliConfig:
-    gamma: float = 1.5
     tol: float = 1e-10
     max_iter: int = 2000
     continuation_steps: int = 8
 
     def __post_init__(self):
-        if not 1.0 < self.gamma < 2.0:
-            raise ParameterError(f"stabilization exponent must be in (1, 2), got {self.gamma}")
         if self.tol <= 0 or self.max_iter < 1 or self.continuation_steps < 1:
             raise ParameterError("invalid Petviashvili configuration")
 
@@ -134,7 +132,8 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
                 "no focusing ground state at these parameters"
             )
         M = grid.hermitian_sum(one_minus_lap * np.abs(Sh) ** 2) / denom
-        S = symmetrize_even(M**cfg.gamma * grid.irfft2(inv * Nh))
+        # 3/2 = p/(p - 1) for the cubic N (module docstring)
+        S = symmetrize_even(M**1.5 * grid.irfft2(inv * Nh))
         if float(np.max(np.abs(S))) < 1e-8 * scale0:
             raise DegenerateLimitError("iterate collapsed to the trivial solution")
         Sh, X, Nh, residual = evaluate(S)

@@ -90,7 +90,8 @@ def gaussian_amplitude_for_mass(target_mass, width) -> float:
 
 def initial_state(cfg: RunConfig, grid: Grid2D) -> Field:
     if cfg.ic_kind == "gaussian":
-        return gaussian_state(grid, cfg.ic_amplitude, cfg.ic_width, cfg.ic_center, cfg.ic_chirp)
+        center = (cfg.ic_center_x, cfg.ic_center_y)
+        return gaussian_state(grid, cfg.ic_amplitude, cfg.ic_width, center, cfg.ic_chirp)
     field, _, _ = read_snapshot(cfg.ic_path)
     if field.grid != grid:
         raise ConfigError(
@@ -180,7 +181,6 @@ def run_simulation(
         grad_ref=grad_ref,
         snapshot_every=cfg.snapshot_every,
         snapshot_writer=writer if cfg.snapshot_every > 0 else None,
-        stepper=cfg.stepper,
     )
 
     # shift record times by the resume offset so files compose

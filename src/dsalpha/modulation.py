@@ -144,9 +144,9 @@ def compute_constants(
             f"reduced constants must be positive in a valid regime, got C1={C1}, C2={C2}"
         )
     C3 = C1 * reduced0.b + C2 * reduced0.eps
-    L0, Lt0, a2 = reduced0.L, reduced0.L_t, spec.alpha**2
-    C4 = Lt0**2 + (C2 * a2 / (2.0 * C1)) / L0**4 - (C3 / C1) / L0**2
-    return ModulationConstants(C1=C1, C2=C2, C3=C3, C4=C4, S_mass=ground.mass)
+    consts = ModulationConstants(C1=C1, C2=C2, C3=C3, C4=math.nan, S_mass=ground.mass)
+    consts.C4 = reduced_first_integral(consts, spec.alpha, reduced0.L, reduced0.L_t)
+    return consts
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +268,8 @@ def integrate_reduced(
     fixed scale would only measure f64 cancellation noise).  t_eval
     requests samples at given times instead of the solver's own steps.
     """
-    if L0 <= 0:
-        raise ParameterError("L0 must be positive")
+    if L0 <= 0 or t_end <= 0:
+        raise ParameterError(f"L0 and t_end must be positive, got {L0}, {t_end}")
     c1, c2, c3 = constants.C1, constants.C2, constants.C3
     k5 = c2 * alpha**2 / c1
     k3 = c3 / c1

@@ -66,7 +66,9 @@ class StepControl:
     When adaptive, dt = clip(cfl_const / max|v|^2, dt_min, dt_max), which
     keeps the nonlinear phase advance per step bounded near focusing.
     amp_max is the absolute blow-up amplitude threshold; None means
-    1e6 times the initial max|v|.
+    1e6 times the initial max|v|.  stepper is "strang" or "ifrk4"; both
+    share the step-size policy, records, snapshots and stopping rules of
+    integrate.
     """
 
     dt: float = 1e-3
@@ -76,6 +78,7 @@ class StepControl:
     cfl_const: float = 0.1
     t_end: float = 1.0
     amp_max: Optional[float] = None
+    stepper: str = "strang"
 
     def __post_init__(self):
         if self.dt <= 0 or self.dt_min <= 0 or self.dt_max <= 0:
@@ -90,6 +93,8 @@ class StepControl:
             raise ParameterError(f"cfl_const must be positive, got {self.cfl_const}")
         if self.amp_max is not None and self.amp_max <= 0:
             raise ParameterError(f"amp_max must be positive, got {self.amp_max}")
+        if self.stepper not in ("strang", "ifrk4"):
+            raise ParameterError(f"stepper must be strang or ifrk4, got {self.stepper!r}")
 
 
 @dataclass
@@ -180,13 +185,9 @@ def integrate(
     grad_ref: Optional[float] = None,
     snapshot_every: int = 0,
     snapshot_writer: Optional[Callable[[int, float, Field], None]] = None,
-    stepper: str = "strang",
 ) -> RunOutcome:
     """Step from t=0 to t_end, amp_max, dt underflow or a mass drift above
-    MAX_MASS_DRIFT, whichever first.
-
-    stepper is "strang" (the default) or "ifrk4"; both share the step-size
-    policy, records, snapshots and stopping rules of this loop.
+    MAX_MASS_DRIFT, whichever first, with control.stepper.
 
     A DiagnosticsRecord is emitted every record_every steps (and always at
     the first and last step); the running mass drift is tracked every step.
@@ -197,8 +198,6 @@ def integrate(
     """
     if record_every < 1:
         raise ParameterError("record_every must be a positive step count")
-    if stepper not in ("strang", "ifrk4"):
-        raise ParameterError(f"stepper must be strang or ifrk4, got {stepper!r}")
     spec.warn_if_out_of_regime()
     g = v0.grid
     da = g.cell_area
@@ -277,7 +276,7 @@ def integrate(
         if last:
             dt = control.t_end - t
 
-        if stepper == "strang":
+        if control.stepper == "strang":
             # leading half phase (fused with whatever half is pending)
             values *= _phase((pending_half + 0.5 * dt) * current_potential())
             # in place: one more 384^2 temporary per step made a dichotomy

@@ -165,8 +165,6 @@ class TestResidualNorm:
 class TestSolverGuards:
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
-            PetviashviliConfig(gamma=2.5)
-        with pytest.raises(ParameterError):
             PetviashviliConfig(tol=-1)
 
     def test_nonconvergence_reports_residual(self):

@@ -22,7 +22,7 @@ from dsalpha.stepping import StepControl
 
 def base_config(tmp_path, **overrides):
     step = dict(dt=2e-3, dt_min=1e-10, dt_max=2e-3, adaptive=True, cfl_const=0.1, t_end=0.2)
-    for name in [k for k in overrides if k in step]:
+    for name in [k for k in overrides if k in StepControl.__dataclass_fields__]:
         step[name] = overrides.pop(name)
     cfg = RunConfig(
         kind=ModelKind.RDS3,

@@ -237,6 +237,12 @@ class TestIntegrateReduced:
         with pytest.raises(ParameterError):
             integrate_reduced(self.CONSTANTS, 0.1, -1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_nonpositive_horizon_rejected(self, t_end):
+        # a negative horizon would integrate the scale ODE backwards in time
+        with pytest.raises(ParameterError, match="t_end"):
+            integrate_reduced(self.CONSTANTS, 0.1, 1.0, -1.0, t_end)
+
 
 def _records_from_law(ts, t_star, power):
     L = (t_star - ts) ** power

@@ -8,7 +8,7 @@ import pytest
 
 from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, SnapshotFormatError, complex_field
 from dsalpha.cli import main as cli_main
-from dsalpha.config import load_config, parse_kv_file
+from dsalpha.config import RunConfig, load_config, parse_kv_file
 from dsalpha.ground_state import PetviashviliConfig
 import dsalpha.snapshots as snapshots_mod
 from dsalpha.snapshots import MAGIC, read_snapshot, write_snapshot
@@ -208,7 +208,7 @@ class TestConfig:
             "step.dt_max = 1e-4",  # below step.dt = 1e-3
             "step.cfl_const = 0",
             "step.amp_max = -1",
-            "ground.gamma = 2.5",
+            "ground.gamma = 2.5",  # not a key: the exponent is 3/2
             "ground.nx = 7",
             "reduced.l0 = -1",
             "model.nu = nan",  # would zero every E symbol
@@ -218,6 +218,10 @@ class TestConfig:
             "ground.tol = nan",
             "ic.amplitude = -inf",
             "sweep.alphas = 0.1,nan",
+            "ic.width = 0",  # a NaN initial state
+            "ic.width = -1.5",
+            "reduced.t_end = 0",
+            "reduced.t_end = -1",  # the scale ODE run backwards
         ],
     )
     def test_invalid_value_rejected_at_load(self, tmp_path, line):
@@ -248,9 +252,12 @@ class TestConfig:
         assert cli_main(["simulate", str(p)]) == 2
 
     def test_step_and_ground_defaults_are_their_owners(self, tmp_path):
+        # the four required keys alone: every other setting is the default
+        # of the dataclass field it sets, written nowhere else
         p = tmp_path / "min.cfg"
         p.write_text("model.kind = dse\nmodel.beta = 1\nmodel.rho = -1\nmodel.nu = 1\n")
         cfg = load_config(p)
+        assert cfg == RunConfig(ModelKind.DSE, 1.0, -1.0, 1.0)
         assert cfg.control == StepControl()
         assert cfg.petviashvili == PetviashviliConfig()
 
