@@ -3,8 +3,9 @@
 The format is deliberately parser-free: one "dotted.key = value" pair per
 line, "#" starts a comment.  A key not listed here is an error, and so are
 a repeated key, a non-finite number (nan, inf) and an invalid value in any
-section: every setting is checked here, at load, by the object it
-configures.  Each key sets one field (_KEYS) of RunConfig, StepControl
+section: every setting is checked by the object it configures, when that
+object is built, so a RunConfig built in code is checked as a loaded one
+is.  Each key sets one field (_KEYS) of RunConfig, StepControl
 (step.*) or PetviashviliConfig (ground.tol, ground.max_iter,
 ground.continuation_steps); a key left out keeps that field's default.
 
@@ -148,6 +149,27 @@ class RunConfig:
 
     sweep_alphas: List[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        """The checks of every run setting outside step.* and ground.*,
+        whether the config was loaded or built in code."""
+        if self.ic_kind not in ("gaussian", "file"):
+            raise ConfigError(f"ic.kind must be gaussian or file, got {self.ic_kind!r}")
+        if self.ic_width <= 0:
+            raise ConfigError(f"ic.width must be positive, got {self.ic_width}")
+        if self.ic_kind == "file":
+            if not self.ic_path:
+                raise ConfigError("ic.kind=file requires ic.path")
+            if not os.path.exists(self.ic_path):
+                raise ConfigError(f"initial-condition file not found: {self.ic_path}")
+        if self.record_every < 1 or self.snapshot_every < 0:
+            raise ConfigError("output cadences must be positive (snapshots: 0 disables)")
+        if self.reduced_t_end is not None and self.reduced_t_end <= 0:
+            raise ConfigError(f"reduced.t_end must be positive, got {self.reduced_t_end}")
+        _build("grid", check_grid, self.nx, self.ny, self.lx, self.ly)
+        _build("model", ModelSpec, self.kind, self.beta, self.rho, self.nu, self.alpha)
+        _build("reduced", ReducedState.initial, self.reduced_l0, self.reduced_lt0, self.alpha,
+               b0=self.reduced_b0)
+
 
 # every config key: the object that owns it, its field there, its cast.  The
 # ground.* grid keys are check_grid's arguments, defaulting to the run grid.
@@ -219,22 +241,4 @@ def load_config(path) -> RunConfig:
         run_grid = {"nx": cfg.nx, "ny": cfg.ny, "lx": cfg.lx, "ly": cfg.ly}
         cfg.ground_grid = tuple({**run_grid, **given[check_grid]}.values())
         _build("ground", check_grid, *cfg.ground_grid)
-
-    if cfg.ic_kind not in ("gaussian", "file"):
-        raise ConfigError(f"ic.kind must be gaussian or file, got {cfg.ic_kind!r}")
-    if cfg.ic_width <= 0:
-        raise ConfigError(f"ic.width must be positive, got {cfg.ic_width}")
-    if cfg.ic_kind == "file":
-        if not cfg.ic_path:
-            raise ConfigError("ic.kind=file requires ic.path")
-        if not os.path.exists(cfg.ic_path):
-            raise ConfigError(f"initial-condition file not found: {cfg.ic_path}")
-    if cfg.record_every < 1 or cfg.snapshot_every < 0:
-        raise ConfigError("output cadences must be positive (snapshots: 0 disables)")
-    if cfg.reduced_t_end is not None and cfg.reduced_t_end <= 0:
-        raise ConfigError(f"reduced.t_end must be positive, got {cfg.reduced_t_end}")
-    _build("grid", check_grid, cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-    _build("model", ModelSpec, cfg.kind, cfg.beta, cfg.rho, cfg.nu, cfg.alpha)
-    _build("reduced", ReducedState.initial, cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha,
-           b0=cfg.reduced_b0)
     return cfg

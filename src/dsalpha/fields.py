@@ -14,9 +14,10 @@ from .grid import Grid2D
 
 @dataclass
 class Field:
-    """Physical-space samples of a field on a Grid2D.
+    """Physical-space samples of a field on a grid.
 
-    values has shape (nx, ny), x index first, row-major (y fastest).
+    values has the grid's shape: (nx, ny) on a Grid2D (the quarter on an
+    EvenGrid), x index first, row-major (y fastest).
     Complex fields hold the wave amplitude v; real (float64) fields hold
     the ground-state pair (S, X) and the linearized corrections.
     """
@@ -26,10 +27,9 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.shape != (self.grid.nx, self.grid.ny):
+        if self.values.shape != self.grid.shape:
             raise GridMismatchError(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
+                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
 

@@ -123,10 +123,16 @@ def require_regularized(cfg: RunConfig, command: str) -> None:
 
 def reduced_dynamics(cfg: RunConfig, ground: GroundState):
     """(constants, trajectory) of the reduced scale ODE for cfg's model and
-    reduced.* data; the horizon is reduced.t_end, else step.t_end."""
+    reduced.* data; the horizon is reduced.t_end, else step.t_end, which a
+    simulation may set to 0 but the reduced ODE may not."""
+    t_end = cfg.reduced_t_end if cfg.reduced_t_end is not None else cfg.control.t_end
+    if t_end <= 0:
+        raise ConfigError(
+            f"reduced.t_end is unset and step.t_end = {t_end} is no positive horizon for "
+            "the reduced dynamics; set reduced.t_end"
+        )
     reduced0 = ReducedState.initial(cfg.reduced_l0, cfg.reduced_lt0, cfg.alpha, b0=cfg.reduced_b0)
     consts = compute_constants(ground, build_spec(cfg), reduced0)
-    t_end = cfg.reduced_t_end if cfg.reduced_t_end is not None else cfg.control.t_end
     traj = integrate_reduced(consts, cfg.alpha, cfg.reduced_l0, cfg.reduced_lt0, t_end)
     return consts, traj
 

@@ -24,18 +24,23 @@ which on the grid equals the mean-flow form exactly (|E_xx|^2 + nu|E_xy|^2
 = E_xx mode by mode; B and the dealias mask are real and diagonal).  The
 cubic product is formed in physical space from the dealiased v, which
 prevents aliasing-driven spurious growth near focusing.
+
+The pipeline runs on the grid it is given, through that grid's transforms,
+symbols and quadrature sum: a Grid2D, or the EvenGrid quarter on which the
+stepping loop holds a state even about a grid point.  Every operator above
+keeps evenness in x and in y (each symbol is even in kx and ky, the 2/3
+mask is symmetric, and I and P are pointwise), so both grids give the same
+P, H and mass up to roundoff.
 """
 
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ParameterError
 from .fields import Field
 from .grid import Grid2D
-from .spectral import dealias_spectrum, fft2, grad_norm_spectrum, ifft2
+from .spectral import dealias_spectrum, grad_norm_spectrum
 
 
 class ModelKind(Enum):
@@ -123,7 +128,7 @@ def _intensity_and_potential(vh, grid: Grid2D, spec: ModelSpec):
     One complex transform (v_d) and two real ones (rfft2 of I, irfft2 of Q*I^).
     """
     local, q = _potential_symbol(grid, spec)
-    vd = ifft2(dealias_spectrum(vh, grid))
+    vd = grid.ifft2(dealias_spectrum(vh, grid))
     intensity = (vd * vd.conj()).real
     del vd  # free v_d before the real transforms allocate theirs
     p = grid.irfft2(q * grid.rfft2(intensity))
@@ -137,12 +142,12 @@ def potential_values(v_values, grid: Grid2D, spec: ModelSpec):
 
     The stepping loop calls _intensity_and_potential on a spectrum it has.
     """
-    return _intensity_and_potential(fft2(v_values), grid, spec)[1]
+    return _intensity_and_potential(grid.fft2(v_values), grid, spec)[1]
 
 
 def mass(v: Field) -> float:
     """Quadrature of |v|^2 over the box (the conserved L2 energy)."""
-    return float(np.sum((v.values * v.values.conj()).real) * v.grid.cell_area)
+    return float(v.grid.sum((v.values * v.values.conj()).real) * v.grid.cell_area)
 
 
 def hamiltonian(v: Field, spec: ModelSpec) -> float:
@@ -152,7 +157,7 @@ def hamiltonian(v: Field, spec: ModelSpec) -> float:
     phase substep uses, so the monitored quantity is that of the flow
     actually being integrated.
     """
-    vh = fft2(v.values)
+    vh = v.grid.fft2(v.values)
     return _hamiltonian_and_potential(vh, grad_norm_spectrum(vh, v.grid), v.grid, spec)[0]
 
 
@@ -163,4 +168,4 @@ def _hamiltonian_and_potential(vh, grad_norm, grid: Grid2D, spec: ModelSpec):
     real transforms, and P serves the step after the record.
     """
     intensity, p = _intensity_and_potential(vh, grid, spec)
-    return float(grad_norm**2 - 0.5 * np.sum(intensity * p) * grid.cell_area), p
+    return float(grad_norm**2 - 0.5 * grid.sum(intensity * p) * grid.cell_area), p

@@ -7,33 +7,30 @@ single coefficient of modulus sqrt(nx*ny).
 
 Spectra are plain arrays: fft2, ifft2, dealias_spectrum and the norms work
 on arrays, and the Field-level operators below take and return
-physical-space Fields.  Real fields and their half-plane spectra belong to
-Grid2D (rfft2, irfft2, hermitian_sum, real_symbol).  All operators here are
-diagonal in spectral space and therefore commute.  The transforms run on
-grid.FFT_WORKERS threads; results are deterministic for a fixed grid and
-worker count.
+physical-space Fields.  fft2 and ifft2 are Grid2D's, for callers that hold
+no grid; the models call their grid's own, which on an EvenGrid are
+quarter-grid DCT-Is.  Real fields and their half-plane spectra belong to
+the grid (rfft2, irfft2, hermitian_sum, real_symbol).  All operators here
+are diagonal in spectral space and therefore commute.  The transforms run
+on grid.FFT_WORKERS threads; results are deterministic for a fixed grid
+and worker count.
 """
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import ParameterError
 from .fields import Field
-from .grid import FFT_WORKERS
+from .grid import Grid2D
 
 
-# -- array-level kernel, used by the hot stepping loop ----------------------
+# -- array-level kernel ------------------------------------------------------
 
-def fft2(a):
-    return _fft.fft2(a, norm="ortho", workers=FFT_WORKERS)
-
-
-def ifft2(a):
-    return _fft.ifft2(a, norm="ortho", workers=FFT_WORKERS)
+fft2, ifft2 = Grid2D.fft2, Grid2D.ifft2
 
 
 def dealias_spectrum(ah, grid):
-    """A copy of ah with all modes above 2/3 of Nyquist on either axis zeroed."""
+    """A copy of ah with all modes above 2/3 of Nyquist on either axis zeroed
+    (ah on grid's layout: the full plane, or an EvenGrid's quarter)."""
     out = ah.copy()
     out[grid.dealias_zero] = 0.0
     return out
@@ -45,8 +42,8 @@ def l2_norm_values(a, grid):
 
 
 def grad_norm_spectrum(ah, grid):
-    """L2 norm of the gradient from a spectral-space array."""
-    return np.sqrt(np.sum(grid.k2 * np.abs(ah) ** 2) * grid.cell_area)
+    """L2 norm of the gradient from a spectral-space array on grid's layout."""
+    return np.sqrt(grid.sum(grid.k2 * np.abs(ah) ** 2) * grid.cell_area)
 
 
 # -- Field-level operations --------------------------------------------------

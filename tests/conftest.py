@@ -44,29 +44,33 @@ def rng():
     return np.random.default_rng(2024)
 
 
-def count_calls(monkeypatch, module, *names):
-    """Wrap each module.<name>; the returned list gains the name per call."""
+def count_calls(monkeypatch, module, *names, label=lambda name, args: name):
+    """Wrap each module.<name>; the returned list gains label(name, args)
+    per call, by default the name."""
     calls = []
     for name in names:
         def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
-            calls.append(_name)
+            calls.append(label(_name, args))
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return calls
 
 
-# the scipy.fft entry points, as the benchmark's tracer lists them
+# the scipy.fft entry points: the benchmark tracer's list, and the DCTs
+# that an EvenGrid's transforms call
 TRANSFORM_ENTRY_POINTS = (
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+    "dct", "idct", "dctn", "idctn",
 )
 
 
-def count_transforms(monkeypatch):
+def count_transforms(monkeypatch, label=lambda name, args: name):
     """Count transforms where the benchmark does, at the scipy.fft entry
-    points; the returned list gains the entry point's name per call."""
-    return count_calls(monkeypatch, scipy.fft, *TRANSFORM_ENTRY_POINTS)
+    points; the returned list gains label(name, args) per call, by default
+    the entry point's name."""
+    return count_calls(monkeypatch, scipy.fft, *TRANSFORM_ENTRY_POINTS, label=label)
 
 
 def random_complex(rng, grid):

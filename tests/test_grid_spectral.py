@@ -159,19 +159,54 @@ class TestRealTransformProperty:
         assert weighted == pytest.approx(want, rel=1e-13)
 
 
+def cached_tables(grid):
+    """The symbol tables cached on grid (the cache also holds its EvenGrid)."""
+    return {key: t for key, t in grid._multiplier_cache.items() if isinstance(t, np.ndarray)}
+
+
 class TestRealLayoutCache:
+    SPEC = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+
     @pytest.mark.parametrize("nx, ny", [(64, 48), (48, 64)])
     def test_real_tables_are_contiguous_ky_nonnegative_columns(self, nx, ny):
         # every cached table the real pipelines read, after a Petviashvili
-        # solve and an RDS3 run on a fresh grid: C-contiguous on the half
-        # plane, and bit for bit the ky >= 0 columns of its full-plane symbol
+        # solve and an RDS3 run on a fresh grid: C-contiguous, and bit for
+        # bit the ky >= 0 columns of its full-plane symbol.  The run starts
+        # from a centred Gaussian, so its tables are on the grid's EvenGrid,
+        # and there they are the kx >= 0 rows of those columns
         g = Grid2D(nx, ny, 24.0, 20.0)
-        solve_ground_state(g, 1.0, -1.0, 1.0, PetviashviliConfig(continuation_steps=2))
-        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
-        integrate(gaussian_state(g, 1.5, 1.0), spec,
-                  StepControl(dt=1e-2, dt_max=1e-2, adaptive=False, t_end=0.05))
-        real = {key: t for key, t in g._multiplier_cache.items() if t.shape != (nx, ny)}
+        self.solve_and_run(g, gaussian_state(g, 1.5, 1.0))
+        assert sorted(key[:2] for key in cached_tables(g)) == [
+            ("e", (1.0, "xx")), ("helmholtz", (1.0,)), ("k2", ()), ("one_minus_laplacian", ()),
+        ]
+        quarter = cached_tables(g.even)
+        assert sorted(key[:2] for key in quarter if key[0] != "potential") == [
+            ("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (0.3,)), ("k2", ()),
+        ]
+        assert ("potential", self.SPEC) in quarter
+        self.check_tables(g, cached_tables(g), nx)
+        self.check_tables(g, quarter, nx // 2 + 1)
 
+    @pytest.mark.parametrize("nx, ny", [(64, 48), (48, 64)])
+    def test_real_tables_are_contiguous_ky_nonnegative_columns_full_grid(self, nx, ny):
+        # the same after a run from a Gaussian that is not even, all on the grid
+        g = Grid2D(nx, ny, 24.0, 20.0)
+        self.solve_and_run(g, gaussian_state(g, 1.5, 1.0, center=(g.dx, 0.0)))
+        real = cached_tables(g)
+        assert sorted(key[:2] for key in real if key[0] != "potential") == [
+            ("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (0.3,)),
+            ("helmholtz", (1.0,)), ("k2", ()), ("one_minus_laplacian", ()),
+        ]
+        assert ("potential", self.SPEC) in real
+        assert "even" not in g._multiplier_cache
+        self.check_tables(g, real, nx)
+
+    def solve_and_run(self, g, v0):
+        solve_ground_state(g, 1.0, -1.0, 1.0, PetviashviliConfig(continuation_steps=2))
+        integrate(v0, self.SPEC, StepControl(dt=1e-2, dt_max=1e-2, adaptive=False, t_end=0.05))
+
+    def check_tables(self, g, tables, rows):
+        spec = self.SPEC
         e, b = g.e_symbol(spec.nu, "xx"), g.helmholtz_symbol(spec.alpha)
         q = -spec.rho * (b * e * b) + spec.beta * b
         q[g.dealias_zero] = 0.0
@@ -182,17 +217,84 @@ class TestRealLayoutCache:
             "one_minus_laplacian": lambda: 1.0 + g.k2,
             "dealias_zero": lambda: g.dealias_zero,
         }
-        assert sorted(key[:2] for key in real if key[0] != "potential") == [
-            ("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (0.3,)),
-            ("helmholtz", (1.0,)), ("k2", ()), ("one_minus_laplacian", ()),
-        ]
-        assert ("potential", spec) in real
-        for key, table in real.items():
+        for key, table in tables.items():
             name, *rest = key
             want = q if name == "potential" else full[name](*rest[0])
-            assert table.flags.c_contiguous and table.shape == (nx, ny // 2 + 1)
+            assert table.flags.c_contiguous and table.shape == (rows, g.ny // 2 + 1)
             assert table.dtype == want.dtype
-            assert table.tobytes() == want[:, : ny // 2 + 1].tobytes()
+            assert table.tobytes() == want[:rows, : g.ny // 2 + 1].tobytes()
+
+
+# sizes with n/2 odd and even on either axis
+_EVEN_SIZES = [(30, 28, 9.0, 7.5), (32, 26, 8.0, 8.0), (64, 64, 16.0, 16.0)]
+
+
+def expanded_noise(rng, g):
+    """A random complex quarter of g.even and its mirror-copy expansion."""
+    q = rng.standard_normal(g.even.shape) + 1j * rng.standard_normal(g.even.shape)
+    return q, g.even.expand(q)
+
+
+class TestEvenGrid:
+    @pytest.mark.parametrize("nx,ny,lx,ly", _EVEN_SIZES)
+    def test_expansion_is_even_about_index_0(self, nx, ny, lx, ly, rng):
+        g = Grid2D(nx, ny, lx, ly)
+        q, a = expanded_noise(rng, g)
+        assert np.array_equal(a[: nx // 2 + 1, : ny // 2 + 1], q)
+        assert np.array_equal(a, np.roll(a[::-1, :], 1, axis=0))
+        assert np.array_equal(a, np.roll(a[:, ::-1], 1, axis=1))
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", _EVEN_SIZES)
+    def test_transforms_are_the_full_spectrum_quarter(self, nx, ny, lx, ly, rng):
+        g = Grid2D(nx, ny, lx, ly)
+        e = g.even
+        q, a = expanded_noise(rng, g)
+        quarter = (slice(0, nx // 2 + 1), slice(0, ny // 2 + 1))
+        for transform, full in ((e.fft2, fft2), (e.ifft2, ifft2)):
+            got = transform(q)
+            assert np.max(np.abs(got - full(a)[quarter])) < 1e-14 * np.max(np.abs(got))
+        for transform, full in ((e.rfft2, g.rfft2), (e.irfft2, lambda r: ifft2(r).real)):
+            got = transform(q.real)
+            assert np.isrealobj(got)
+            assert np.max(np.abs(got - full(a.real)[quarter])) < 1e-14 * np.max(np.abs(got))
+        assert np.max(np.abs(e.ifft2(e.fft2(q)) - q)) < 1e-14 * np.max(np.abs(q))
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", _EVEN_SIZES)
+    def test_sum_is_the_full_sum(self, nx, ny, lx, ly, rng):
+        g = Grid2D(nx, ny, lx, ly)
+        q, a = expanded_noise(rng, g)
+        r = np.abs(q) ** 2
+        assert g.even.sum(r) == pytest.approx(np.sum(np.abs(a) ** 2), rel=1e-14)
+        assert g.even.hermitian_sum(r) == g.even.sum(r)
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", _EVEN_SIZES)
+    def test_symbol_tables_are_the_full_quarter(self, nx, ny, lx, ly):
+        g = Grid2D(nx, ny, lx, ly)
+        e = g.even
+        quarter = (slice(0, nx // 2 + 1), slice(0, ny // 2 + 1))
+        assert e.shape == (nx // 2 + 1, ny // 2 + 1) and e.cell_area == g.cell_area
+        assert np.array_equal(e.k2, g.k2[quarter])
+        assert np.array_equal(e.dealias_zero, g.dealias_zero[quarter])
+        for name, params, full in (
+            ("e", (1.3, "xx"), g.e_symbol(1.3, "xx")),
+            ("helmholtz", (0.4,), g.helmholtz_symbol(0.4)),
+            ("one_minus_laplacian", (), 1.0 + g.k2),
+        ):
+            assert np.array_equal(e.real_symbol(name, *params), full[quarter])
+
+    @pytest.mark.parametrize("nx,ny,lx,ly", _EVEN_SIZES)
+    def test_coordinates_are_mirror_exact(self, nx, ny, lx, ly):
+        # x_{n-i} = -x_i, so a centred Gaussian is sampled exactly even
+        g = Grid2D(nx, ny, lx, ly)
+        assert np.array_equal(g.x[1:], -g.x[:0:-1]) and g.x[nx // 2] == 0.0
+        assert np.array_equal(g.y[1:], -g.y[:0:-1]) and g.y[ny // 2] == 0.0
+        v = np.roll(gaussian_state(g, 1.3, 0.9).values, (-(nx // 2), -(ny // 2)), axis=(0, 1))
+        assert np.array_equal(v[1:], v[:0:-1]) and np.array_equal(v[:, 1:], v[:, :0:-1])
+
+    def test_built_once_on_first_use(self):
+        g = Grid2D(32, 32, 8.0, 8.0)
+        assert "even" not in g._multiplier_cache
+        assert g.even is g.even
 
 
 class TestHelmholtzInverse:

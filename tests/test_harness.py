@@ -274,6 +274,22 @@ class TestCli:
         assert "regularized kinds only" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize("argv, solver", [
+        (["modulation"], "dsalpha.cli.ground_state_for"),
+        (["sweep", "--alphas=0.1,0.2"], "dsalpha.harness.ground_state_for"),
+    ])
+    def test_zero_step_t_end_is_no_reduced_horizon_exit_two(
+        self, tmp_path, capsys, monkeypatch, coupled_ground, argv, solver
+    ):
+        # step.t_end = 0 is a valid simulation, but the reduced ODE falls
+        # back to it when reduced.t_end is unset and needs a positive horizon
+        monkeypatch.setattr(solver, lambda *a, **k: coupled_ground)
+        cfg = tmp_path / "run.cfg"
+        text = CONFIG_TEMPLATE.format(out=tmp_path / "out")
+        cfg.write_text(text.replace("step.t_end = 0.05", "step.t_end = 0"))
+        assert cli_main([argv[0], str(cfg), *argv[1:]]) == 2
+        assert "set reduced.t_end" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["simulate"], ["ground-state"], ["modulation"], ["sweep", "--alphas=0.1,0.2"],
     ])

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, SnapshotFormatError, complex_field
 from dsalpha.cli import main as cli_main
-from dsalpha.config import RunConfig, load_config, parse_kv_file
+from dsalpha.config import _KEYS, RunConfig, load_config, parse_kv_file
 from dsalpha.ground_state import PetviashviliConfig
 import dsalpha.snapshots as snapshots_mod
 from dsalpha.snapshots import MAGIC, read_snapshot, write_snapshot
@@ -222,17 +223,30 @@ class TestConfig:
             "ic.width = -1.5",
             "reduced.t_end = 0",
             "reduced.t_end = -1",  # the scale ODE run backwards
+            "output.record_every = 0",
         ],
     )
     def test_invalid_value_rejected_at_load(self, tmp_path, line):
         # line replaces the key's line in CONFIG_TEXT, if it has one
-        key = line.split("=")[0].strip()
+        key, raw = (part.strip() for part in line.split("="))
         kept = [ln for ln in CONFIG_TEXT.splitlines() if ln.split("=")[0].strip() != key]
         p = tmp_path / "bad.cfg"
         p.write_text("\n".join(kept) + "\n" + line + "\n")
         with pytest.raises(ConfigError, match=line.split(".")[0]):
             load_config(p)
         assert cli_main(["simulate", str(p)]) == 2
+        # the in-code case: a RunConfig built with a value the file format
+        # can hold fails the same check
+        owner, name, cast = _KEYS.get(key, (None, None, str))
+        try:
+            value = cast(raw)
+        except (ValueError, ConfigError):
+            value = None
+        if owner is RunConfig and value is not None:
+            good = tmp_path / "good.cfg"
+            good.write_text(CONFIG_TEXT)
+            with pytest.raises(ConfigError, match=line.split(".")[0]):
+                replace(load_config(good), **{name: value})
 
     def test_grid_numbers_checked_without_building_a_grid(self, tmp_path, monkeypatch):
         built = count_calls(monkeypatch, Grid2D, "__init__")

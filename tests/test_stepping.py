@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from dsalpha import (
     Grid2D,
@@ -15,10 +16,10 @@ from dsalpha import (
 )
 import dsalpha.stepping as stepping_mod
 from dsalpha.harness import gaussian_state
-from dsalpha.models import potential_values
+from dsalpha.models import mass, potential_values
 from dsalpha.spectral import fft2, grad_norm_spectrum, ifft2
 from dsalpha.stepping import MAX_MASS_DRIFT
-from conftest import count_transforms, random_complex
+from conftest import count_calls, count_transforms, random_complex
 from oracles import meshes
 
 
@@ -240,14 +241,39 @@ def reference_strang(v0, spec, dt, n, record_every, snapshot_every):
 
 def transform_counts(monkeypatch):
     """Count every transform at the scipy.fft entry points; the returned
-    function gives (complex, real) so far."""
-    calls = count_transforms(monkeypatch)
+    function gives (complex, real) so far, and its `names` the entry points
+    called.  A DCT, which an EvenGrid makes for each of its transforms,
+    counts as complex or real by its input."""
+    calls = count_transforms(monkeypatch,
+                             label=lambda name, args: (name, np.iscomplexobj(args[0])))
 
     def counts():
-        real = sum(name in ("rfft2", "irfft2") for name in calls)
+        real = sum(name in ("rfft2", "irfft2") or (name == "dctn" and not cplx)
+                   for name, cplx in calls)
         return len(calls) - real, real
 
+    counts.names = lambda: {name for name, _ in calls}
     return counts
+
+
+def even_noisy_state(g, centre):
+    """A Gaussian plus noise, mirror-symmetrized about index 0 in x and in y
+    and rolled to centre: exactly even about that grid point, and peaked
+    there."""
+    rng = np.random.default_rng(7)
+    v = np.roll(gaussian_state(g, 1.5, 1.0).values, (-(g.nx // 2), -(g.ny // 2)), axis=(0, 1))
+    v = v + 0.3 * random_complex(rng, g)
+    v = 0.5 * (v + np.roll(v[::-1, :], 1, axis=0))
+    v = 0.5 * (v + np.roll(v[:, ::-1], 1, axis=1))
+    v = np.roll(v, centre, axis=(0, 1))
+    assert np.unravel_index(np.argmax(np.abs(v)), v.shape) == centre
+    return complex_field(g, v)
+
+
+def off_centre_gaussian(g):
+    """A Gaussian centred on a grid point off the box centre: even about it
+    except in the tails, which the periodic box wraps unevenly."""
+    return gaussian_state(g, 1.5, 1.0, center=(2 * g.dx, -3 * g.dy))
 
 
 class TestLeanStep:
@@ -259,7 +285,7 @@ class TestLeanStep:
     @pytest.mark.parametrize("kind", [ModelKind.DSE, ModelKind.RDS3])
     @pytest.mark.parametrize("record_every", [1, 3, 7])
     @pytest.mark.parametrize("snapshot_every", [0, 4])
-    def test_matches_reference_loop(self, kind, record_every, snapshot_every):
+    def test_matches_reference_loop(self, monkeypatch, kind, record_every, snapshot_every):
         # a noisy state has O(1) content beyond 2/3 Nyquist, so the
         # potential of a phase-rotated state differs from the unrotated one
         # and a stale spectrum or potential shows far above roundoff
@@ -267,12 +293,35 @@ class TestLeanStep:
         rng = np.random.default_rng(7)
         v0 = complex_field(g, gaussian_state(g, 1.5, 1.0).values
                            + 0.3 * random_complex(rng, g))
+        names = self.check_against_reference(monkeypatch, v0, kind, record_every, snapshot_every)
+        assert "dctn" not in names
+
+    @pytest.mark.parametrize("kind", [ModelKind.DSE, ModelKind.RDS3])
+    @pytest.mark.parametrize("record_every", [1, 3, 7])
+    @pytest.mark.parametrize("snapshot_every", [0, 4])
+    def test_even_state_matches_reference_loop(
+        self, monkeypatch, kind, record_every, snapshot_every
+    ):
+        # the even parametrization: the same noise, mirror-symmetrized about
+        # an off-centre grid point, steps on the quarter grid and must match
+        # the full-grid reference loop to the same bounds
+        g = Grid2D(32, 32, 8.0, 8.0)
+        v0 = even_noisy_state(g, (3, 27))
+        names = self.check_against_reference(monkeypatch, v0, kind, record_every, snapshot_every)
+        assert names == {"dctn"}
+
+    def check_against_reference(self, monkeypatch, v0, kind, record_every, snapshot_every):
+        """Run integrate and the reference loop on v0 and compare them; the
+        scipy.fft entry points integrate called."""
+        g = v0.grid
         spec = ModelSpec(kind, 1.0, -1.0, 1.0, 0.3 if kind is ModelKind.RDS3 else 0.0)
         snaps = {}
         ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=self.N * self.DT)
-        out = integrate(v0, spec, ctrl, record_every=record_every,
-                        snapshot_every=snapshot_every,
-                        snapshot_writer=lambda step, t, f: snaps.setdefault(step, f.values))
+        with monkeypatch.context() as mp:
+            counts = transform_counts(mp)
+            out = integrate(v0, spec, ctrl, record_every=record_every,
+                            snapshot_every=snapshot_every,
+                            snapshot_writer=lambda step, t, f: snaps.setdefault(step, f.values))
         want_records, want_snaps = reference_strang(
             v0, spec, self.DT, self.N, record_every, snapshot_every)
         scale = np.max(np.abs(v0.values))
@@ -284,48 +333,100 @@ class TestLeanStep:
             assert r.grad_norm == pytest.approx(grad_norm_spectrum(fft2(want), g), rel=1e-12)
             assert r.hamiltonian == pytest.approx(hamiltonian(f, spec), rel=1e-12)
             assert r.max_amp == pytest.approx(np.max(np.abs(want)), rel=1e-12)
+            assert r.mass == pytest.approx(mass(f), rel=1e-12)
+        assert out.final_state.grid is g
         assert np.max(np.abs(out.final_state.values - want_records[self.N])) < 1e-12 * scale
         assert sorted(snaps) == sorted(want_snaps)
         for step, values in snaps.items():
             assert np.max(np.abs(values - want_snaps[step])) < 1e-12 * scale
+        return counts.names()
 
     @pytest.mark.parametrize("kind", [ModelKind.DSE, ModelKind.RDS3])
     def test_transforms_per_fused_step(self, monkeypatch, kind):
         # a fused step: ifft2 of the dealiased carried spectrum, rfft2/irfft2
         # of the potential, fft2/ifft2 of the linear substep.  Fixed: the two
         # records (2 complex + 2 real each); the first step's potential comes
-        # from the first record and the closing half phase adds one pipeline
+        # from the first record and the closing half phase adds one pipeline.
+        # A centred Gaussian steps on the quarter grid, every transform a DCT
         g = Grid2D(32, 32, 8.0, 8.0)
+        names = self.check_transforms_per_fused_step(monkeypatch, gaussian_state(g, 1.5, 1.0), kind)
+        assert names == {"dctn"}
+
+    @pytest.mark.parametrize("kind", [ModelKind.DSE, ModelKind.RDS3])
+    def test_transforms_per_fused_step_full_grid(self, monkeypatch, kind):
+        g = Grid2D(32, 32, 8.0, 8.0)
+        names = self.check_transforms_per_fused_step(monkeypatch, off_centre_gaussian(g), kind)
+        assert names == {"fft2", "ifft2", "rfft2", "irfft2"}
+
+    def check_transforms_per_fused_step(self, monkeypatch, v0, kind):
+        """The transform counts of 4 and 9 fixed steps from v0; the scipy.fft
+        entry points called."""
         spec = ModelSpec(kind, 1.0, -1.0, 1.0, 0.3 if kind is ModelKind.RDS3 else 0.0)
-        v0 = gaussian_state(g, 1.5, 1.0)
         for n in (4, 9):
             ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=n * self.DT)
             with monkeypatch.context() as mp:
                 counts = transform_counts(mp)
                 assert integrate(v0, spec, ctrl, record_every=10**9).steps == n
             assert counts() == (3 * n + 4, 2 * n + 4)
+        return counts.names()
 
     def test_step_after_a_record_runs_no_potential_pipeline(self, monkeypatch):
         # the record's potential is that of the state the next step starts
-        # from, so the next pipeline run is the one closing that step
+        # from, so the next pipeline run is the one closing that step.  A
+        # centred Gaussian steps on the quarter grid
         g = Grid2D(32, 32, 8.0, 8.0)
+        self.check_step_after_a_record(monkeypatch, gaussian_state(g, 1.5, 1.0), g.even)
+
+    def test_step_after_a_record_runs_no_potential_pipeline_full_grid(self, monkeypatch):
+        g = Grid2D(32, 32, 8.0, 8.0)
+        self.check_step_after_a_record(monkeypatch, off_centre_gaussian(g), g)
+
+    def check_step_after_a_record(self, monkeypatch, v0, stepping_grid):
+        # only outermost calls are logged: a record and a pipeline make
+        # transforms of their own, and the linear substep is the one ifft2
+        # of the grid the loop steps on that neither makes
         spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
-        events = []
+        events, depth = [], [0]
 
         def logged(name, inner):
             def wrapper(*args, **kwargs):
-                out = inner(*args, **kwargs)
-                events.append(name)
+                depth[0] += 1
+                try:
+                    out = inner(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+                if depth[0] == 0:
+                    events.append(name)
                 return out
             return wrapper
 
-        for name, attr in (("record", "_record"), ("pipeline", "_intensity_and_potential"),
-                           ("linear", "ifft2")):
-            monkeypatch.setattr(stepping_mod, attr, logged(name, getattr(stepping_mod, attr)))
+        for owner, name, attr in ((stepping_mod, "record", "_record"),
+                                  (stepping_mod, "pipeline", "_intensity_and_potential"),
+                                  (stepping_grid, "linear", "ifft2")):
+            monkeypatch.setattr(owner, attr, logged(name, getattr(owner, attr)))
         n = 6
         ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=n * self.DT)
-        integrate(gaussian_state(g, 1.5, 1.0), spec, ctrl, record_every=1)
+        integrate(v0, spec, ctrl, record_every=1)
         assert events == ["record"] + ["linear", "pipeline", "record"] * n
+
+    @pytest.mark.parametrize("case", ["one_ulp", "off_centre", "ifrk4"])
+    def test_full_grid_unless_exactly_even(self, monkeypatch, case):
+        # the quarter grid is taken only by Strang steps of a state that is
+        # even bit for bit: one ulp off in one sample, an off-centre
+        # Gaussian and any IFRK4 run make no DCT
+        g = Grid2D(32, 32, 8.0, 8.0)
+        v0 = gaussian_state(g, 1.5, 1.0)
+        if case == "one_ulp":
+            v0.values[3, 5] = np.nextafter(v0.values[3, 5].real, 1.0) + 1j * v0.values[3, 5].imag
+        elif case == "off_centre":
+            v0 = off_centre_gaussian(g)
+        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+        ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=3 * self.DT,
+                           stepper="ifrk4" if case == "ifrk4" else "strang")
+        dcts = count_calls(monkeypatch, scipy.fft, "dctn")
+        out = integrate(v0, spec, ctrl, record_every=1)
+        assert out.steps == 3 and dcts == []
+        assert out.final_state.grid is g
 
     def test_ifrk4_stage_potential_from_stage_spectrum(self, monkeypatch):
         # each of the four stages: ifft2 of its spectrum, the potential
