@@ -18,6 +18,8 @@ loop run unchanged on either kind:
 - Grid2D, the box.  A real field (the ground-state pair, the linearized
   corrections, the potential P) has a Hermitian spectrum, kept as its
   ky >= 0 half plane by rfft2/irfft2 and multiplied by real_symbol tables.
+  Its half grid (nx/2 x ny/2 on the same box) holds such fields at half
+  the resolution, and prolong interpolates them back.
 - EvenGrid, the (nx/2+1) x (ny/2+1) quarter of a Grid2D that holds data
   even about index 0 in x and in y.  On such data the DFT is the DCT-I
   (REDFT00) of the quarter (Frigo & Johnson, Proc. IEEE 93, 2005), and
@@ -158,6 +160,31 @@ class Grid2D(_SymbolTables):
         """The EvenGrid quarter of this grid, built on first use."""
         return self.cached("even", lambda: EvenGrid(self))
 
+    @property
+    def half(self):
+        """Grid2D(nx/2, ny/2) on the same box, or None where it fails check_grid
+        (nx or ny = 2 mod 4, or a half below 8)."""
+        sides = (self.nx // 2, self.ny // 2, self.lx, self.ly)
+        try:
+            check_grid(*sides)
+        except ParameterError:
+            return None
+        return self.cached("half", lambda: Grid2D(*sides))
+
+    def prolong(self, a):
+        """Band-limited interpolation onto this grid of a real array on self.half.
+
+        Its half-plane spectrum is zero-padded, with the coarse Nyquist row and
+        column zeroed (they alias a +/- pair that the fine grid separates), and
+        scaled by 2 = sqrt(nx*ny / (nx/2 * ny/2)) for the ortho convention.
+        """
+        ah = self.half.rfft2(a)
+        hx, hy = self.nx // 4, self.ny // 4
+        out = np.zeros((self.nx, self.ny // 2 + 1), dtype=ah.dtype)
+        out[:hx, :hy] = ah[:hx, :hy]
+        out[-hx + 1 :, :hy] = ah[-hx + 1 :, :hy]
+        return self.irfft2(2.0 * out)
+
     @staticmethod
     def fft2(a):
         return _fft.fft2(a, norm="ortho", workers=FFT_WORKERS)
@@ -210,7 +237,7 @@ class EvenGrid(_SymbolTables):
         self.k2 = self.real_symbol("k2")
         self.dealias_zero = self.real_symbol("dealias_zero")
         wx, wy = (np.r_[1.0, np.full(n - 2, 2.0), 1.0] for n in self.shape)
-        self._weights = wx[:, None] * wy[None, :]
+        self.weights = wx[:, None] * wy[None, :]
         self._norm = 1.0 / math.sqrt(self.nx * self.ny)
 
     def fft2(self, a):
@@ -221,9 +248,14 @@ class EvenGrid(_SymbolTables):
     ifft2 = rfft2 = irfft2 = fft2
 
     def sum(self, a):
-        return np.sum(self._weights * a)
+        return np.sum(self.weights * a)
 
     hermitian_sum = sum
+
+    def restrict(self, a):
+        """The quarter of a full (nx, ny) array even about index 0 in x and in
+        y, as a contiguous copy: the inverse of expand."""
+        return a[: self.shape[0], : self.shape[1]].copy()
 
     def expand(self, q):
         """The full (nx, ny) array whose quarter is q: a[-i] = a[i] per axis."""

@@ -9,8 +9,11 @@ stabilized by the Petviashvili factor M^{3/2}.  The nonlinearity is cubic
 (E is linear), and for degree p = 3 the exponent p/(p - 1) = 3/2 zeroes the
 sweep's eigenvalue p - gamma (p - 1) along S itself.  The iterate
 is symmetrized to be even in both variables every sweep: this pins
-translation invariance and enforces the evenness under which the
-linearized solves downstream are well posed.  Each sweep evaluates S's
+translation invariance, and it makes the returned S even about index 0
+bit for bit, which the linearized solves downstream require (they run on
+the grid's even quarter).  symmetrize_even is that full-grid projection,
+called once per sweep and nowhere else, so bench/workloads.py counts
+sweeps by its calls.  Each sweep evaluates S's
 spectrum, X = E(S^2) and the spectrum of the nonlinearity once, for the
 updated iterate, and uses them for its residual (in spectral space, by
 Plancherel) and the next sweep; the stored X is that of the returned S.
@@ -23,6 +26,11 @@ max(tol, sqrt(tol)) and only the last stage runs to `tol`: the returned
 residual still meets `tol`, and each loose stage only has to hand the next
 one a start inside its basin of convergence (Pelinovsky & Stepanyants,
 SIAM J. Numer. Anal. 42, 2004).  With rho = 0 the single stage runs to tol.
+The loose stages run on grid.half, a quarter of the samples, and their
+state is carried to the grid by band-limited interpolation (grid.prolong)
+for the last stage: nested iteration (Briggs, Henson & McCormick, A
+Multigrid Tutorial, 2000).  Where the grid has no half (grid.half is None)
+every stage runs on the grid.
 
 S, X and every product of them are real, so the solver runs on the grid's
 real layout (rfft2, real_symbol, hermitian_sum); residual_norm stays on
@@ -168,10 +176,14 @@ def solve_ground_state(
     n = cfg.continuation_steps
     earlier = [] if rho == 0.0 else [0.0] + [rho * k / n for k in range(1, n)]
     loose = replace(cfg, tol=max(cfg.tol, math.sqrt(cfg.tol)))
+    coarse = grid.half if earlier else None
+    stage_grid = grid if coarse is None else coarse
     # amplitude near the known peak value of the cubic profile
-    S = 2.2 * np.exp(-grid.r2 / 2.0)
+    S = 2.2 * np.exp(-stage_grid.r2 / 2.0)
     for rho_k in earlier:
-        S, _, _ = _petviashvili(S, grid, beta, rho_k, nu, loose)
+        S, _, _ = _petviashvili(S, stage_grid, beta, rho_k, nu, loose)
+    if coarse is not None:
+        S = grid.prolong(S)
     S, X, residual = _petviashvili(S, grid, beta, rho, nu, cfg)
 
     da = grid.cell_area

@@ -13,9 +13,15 @@ multiplier and the two solves become
 Both are solved by preconditioned MINRES restricted to fields even in each
 variable; the adjoint kernel of the full block system is spanned by odd
 (translation) modes, so the symmetry restriction enforces solvability
-orthogonality without constructing antiderivative fields.  Every operand is
-real, so the operator, the preconditioner and the right-hand sides run on
-the grid's real transforms and real symbols.
+orthogonality without constructing antiderivative fields.  The restriction
+is structural: S is even about index 0 bit for bit (a GroundState that is
+not raises SymmetryViolationError), so the operator, the preconditioner
+and the right-hand sides run on the grid's EvenGrid quarter with DCT-I
+transforms.  The quarter's quadrature weights w carry the full grid's
+inner product, so MINRES solves w A(u) = w b with preconditioner B(u / w),
+both symmetric, and makes the full-grid iterates.  The corrections are
+expanded to full-grid Fields, and the odd-kernel overlap is checked on
+the expanded solution with the grid's real transforms.
 
 The reduced scale dynamics integrates the saturated (equality) form of the
 modulation inequality,
@@ -42,7 +48,7 @@ from .errors import (
     SymmetryViolationError,
 )
 from .fields import Field
-from .ground_state import GroundState, symmetrize_even
+from .ground_state import GroundState
 from .models import ModelKind, ModelSpec
 from .spectral import l2_norm_values
 
@@ -153,42 +159,58 @@ def compute_constants(
 # linearized profile corrections
 # ---------------------------------------------------------------------------
 
+def _check_even(ground):
+    """Raise unless S is even about index 0 in x and in y bit for bit, and X
+    to the roundoff of the real transforms that made it from S."""
+    e = ground.grid.even
+    S, X = ground.S.values, ground.X.values
+    if not np.array_equal(e.expand(e.restrict(S)), S):
+        raise SymmetryViolationError("ground-state S is not even about index 0")
+    if np.max(np.abs(e.expand(e.restrict(X)) - X)) > 1e-12 * np.max(np.abs(X)):
+        raise SymmetryViolationError("ground-state X is not even about index 0")
+
+
 def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> LinearizedSolution:
-    """Solve the GY or HZ correction system on the even-even subspace."""
+    """Solve the GY or HZ correction system on the even quarter grid."""
     if mode not in ("GY", "HZ"):
         raise ParameterError(f"mode must be 'GY' or 'HZ', got {mode!r}")
+    _check_even(ground)
     g = ground.grid
-    S = ground.S.values
-    X = ground.X.values
+    e = g.even
+    S = e.restrict(ground.S.values)
+    X = e.restrict(ground.X.values)
     beta, rho, nu = ground.beta, ground.rho, ground.nu
-    e_xx = g.real_symbol("e", nu, "xx")
-    k2 = g.real_symbol("k2")
-    inv = g.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
-    n = g.nx * g.ny
+    e_xx = e.real_symbol("e", nu, "xx")
+    inv = e.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
+    w = e.weights
 
     f = S * S
 
     if mode == "GY":
-        rhs = -0.25 * g.r2 * S
+        rhs = -0.25 * e.restrict(g.r2) * S
     else:
-        lap_fh = -k2 * g.rfft2(f)
-        lap_f = g.irfft2(lap_fh)
-        lap_X = g.irfft2(-k2 * g.rfft2(X))
-        e_lap_f = g.irfft2(e_xx * lap_fh)
+        lap_fh = -e.k2 * e.rfft2(f)
+        lap_f = e.irfft2(lap_fh)
+        lap_X = e.irfft2(-e.k2 * e.rfft2(X))
+        e_lap_f = e.irfft2(e_xx * lap_fh)
         rhs = -beta * S * lap_f + rho * S * lap_X + rho * S * e_lap_f
-    rhs = symmetrize_even(rhs)
-    rhs_norm = l2_norm_values(rhs, g)
+    rhs_norm = l2_norm_values(rhs, e)
 
     coeff = 3.0 * beta * f - rho * X
 
     def apply_a(u):
-        u = u.reshape(g.nx, g.ny)
-        lap_u = g.irfft2(-k2 * g.rfft2(u))
-        nonloc = S * g.irfft2(e_xx * g.rfft2(S * u))
-        return (lap_u - u + coeff * u - 2.0 * rho * nonloc).ravel()
+        lap_u = e.irfft2(-e.k2 * e.rfft2(u))
+        nonloc = S * e.irfft2(e_xx * e.rfft2(S * u))
+        return lap_u - u + coeff * u - 2.0 * rho * nonloc
+
+    # the full grid's Euclidean inner product is the w-weighted one on the
+    # quarter, so w A and B(./w) are symmetric and MINRES on them makes the
+    # full-grid iterates of the even right-hand side
+    def matvec(u):
+        return (w * apply_a(u.reshape(e.shape))).ravel()
 
     def apply_pre(u):
-        return g.irfft2(inv * g.rfft2(u.reshape(g.nx, g.ny))).ravel()
+        return e.irfft2(inv * e.rfft2(u.reshape(e.shape) / w)).ravel()
 
     iterations = 0
 
@@ -196,15 +218,16 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         nonlocal iterations
         iterations += 1
 
-    A = LinearOperator((n, n), matvec=apply_a, dtype=np.float64)
+    n = w.size
+    A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     P = LinearOperator((n, n), matvec=apply_pre, dtype=np.float64)
-    sol, info = minres(A, rhs.ravel(), M=P, rtol=1e-12,
-                       maxiter=40 * int(math.isqrt(n)) + 20000, callback=count)
+    sol, info = minres(A, (w * rhs).ravel(), M=P, rtol=1e-12,
+                       maxiter=40 * int(math.isqrt(g.nx * g.ny)) + 20000, callback=count)
     if info < 0:
         raise ConvergenceError(f"linearized {mode} MINRES broke down (info={info})")
-    first = symmetrize_even(sol.reshape(g.nx, g.ny))
+    first_q = sol.reshape(e.shape)
 
-    residual = l2_norm_values(apply_a(first.ravel()).reshape(g.nx, g.ny) - rhs, g)
+    residual = l2_norm_values(apply_a(first_q) - rhs, e)
     rel_res = residual / rhs_norm if rhs_norm > 0 else residual
     if rhs_norm > 0 and rel_res > 1e-8:
         raise ConvergenceError(
@@ -213,7 +236,8 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         )
 
     # translation (adjoint-kernel) contamination must be at roundoff level
-    s_x = g.irfft2(1j * g.kx[:, None] * g.rfft2(S))
+    first = e.expand(first_q)
+    s_x = g.irfft2(1j * g.kx[:, None] * g.rfft2(ground.S.values))
     norm_first = l2_norm_values(first, g)
     if norm_first > 0:
         overlap = abs(np.sum(first * s_x)) * g.cell_area
@@ -223,17 +247,16 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
                 f"linearized {mode} solution has odd-kernel overlap {overlap / denom:.3e}"
             )
 
-    second = 2.0 * g.irfft2(e_xx * g.rfft2(S * first))
+    second = 2.0 * e.irfft2(e_xx * e.rfft2(S * first_q))
     if mode == "HZ":
         second = second + e_lap_f
 
-    inner = float(np.sum(S * first) * g.cell_area)
     return LinearizedSolution(
         first=Field(g, first),
-        second=Field(g, second),
+        second=Field(g, e.expand(second)),
         mode=mode,
         residual=float(rel_res),
-        inner_with_S=inner,
+        inner_with_S=float(e.sum(S * first_q) * g.cell_area),
         info=int(info),
         iterations=iterations,
     )

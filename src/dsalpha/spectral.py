@@ -37,8 +37,9 @@ def dealias_spectrum(ah, grid):
 
 
 def l2_norm_values(a, grid):
-    """Quadrature L2 norm; identical formula in both spaces (Plancherel)."""
-    return np.sqrt(np.sum(np.abs(a) ** 2).real * grid.cell_area)
+    """Quadrature L2 norm on grid's layout; identical formula in both spaces
+    (Plancherel)."""
+    return np.sqrt(grid.sum(np.abs(a) ** 2) * grid.cell_area)
 
 
 def grad_norm_spectrum(ah, grid):

@@ -230,8 +230,7 @@ def integrate(
     centre = _even_centre(values) if control.stepper == "strang" else None
     if centre is not None:
         g = g.even
-        rolled = np.roll(values, (-centre[0], -centre[1]), axis=(0, 1))
-        values = rolled[: g.shape[0], : g.shape[1]].copy()
+        values = g.restrict(np.roll(values, (-centre[0], -centre[1]), axis=(0, 1)))
 
     def full_field(values):
         """values as a Field on v0's grid: a quarter is expanded and rolled back."""

@@ -296,6 +296,43 @@ class TestEvenGrid:
         assert "even" not in g._multiplier_cache
         assert g.even is g.even
 
+    @pytest.mark.parametrize("nx,ny,lx,ly", _EVEN_SIZES)
+    def test_restrict_inverts_expand(self, nx, ny, lx, ly, rng):
+        g = Grid2D(nx, ny, lx, ly)
+        q, a = expanded_noise(rng, g)
+        r = g.even.restrict(a)
+        assert np.array_equal(r, q) and r.flags.c_contiguous
+        assert np.array_equal(g.even.expand(r), a)
+
+
+class TestHalfGrid:
+    @pytest.mark.parametrize("nx,ny", [(64, 64), (32, 48), (16, 24)])
+    def test_half_is_the_grid_at_half_resolution(self, nx, ny):
+        g = Grid2D(nx, ny, 12.0, 10.0)
+        assert g.half == Grid2D(nx // 2, ny // 2, 12.0, 10.0)
+        assert g.half is g.half
+
+    @pytest.mark.parametrize("nx,ny", [(66, 64), (64, 30), (12, 16), (16, 14)])
+    def test_no_half_where_it_fails_check_grid(self, nx, ny):
+        assert Grid2D(nx, ny, 12.0, 10.0).half is None
+
+    @pytest.mark.parametrize("nx,ny", [(32, 32), (48, 32)])
+    def test_prolong_interpolates_band_limited_data_exactly(self, nx, ny):
+        # every mode below the half grid's Nyquist is sampled again exactly;
+        # the half grid's Nyquist modes are dropped
+        g = Grid2D(nx, ny, 2 * np.pi, 4 * np.pi)
+        h = g.half
+        mx, my = nx // 4 - 1, ny // 4 - 1
+
+        def smooth(grid):
+            x, y = grid.x[:, None], grid.y[None, :]
+            return 1.0 + np.cos(mx * x) * np.sin(0.5 * y + 0.3) + np.sin(x - 0.2) * np.cos(0.5 * my * y)
+
+        got = g.prolong(smooth(h))
+        assert np.max(np.abs(got - smooth(g))) < 1e-13
+        nyquist = np.cos((nx // 4) * h.x)[:, None] * np.ones(h.ny)
+        assert np.max(np.abs(g.prolong(nyquist))) < 1e-14
+
 
 class TestHelmholtzInverse:
     def test_constant_untouched(self, grid_small):

@@ -57,14 +57,15 @@ class TestOneEvaluationPerIterate:
         # all real: per sweep the (1 - Lap)^{-1} update, then the new
         # iterate's spectrum, X (2) and the spectrum of N, which serves both
         # the spectral residual and the next sweep; per fixed-rho solve 4 for
-        # the seed's; at the end rfft2(S^2).  No complex transform is made.
+        # the seed's; at the end rfft2(S^2); and 2 for the prolongation from
+        # the half grid.  No complex transform is made.
         cfg = PetviashviliConfig(continuation_steps=2)
         transforms = count_transforms(monkeypatch)
         sweeps = count_calls(monkeypatch, gs_mod, "symmetrize_even")
         solve_ground_state(Grid2D(64, 64, 24.0, 24.0), 1.0, -1.0, 1.0, cfg)
         solves = 1 + cfg.continuation_steps
         assert len(sweeps) > 0
-        assert len(transforms) == 5 * len(sweeps) + 4 * solves + 1
+        assert len(transforms) == 5 * len(sweeps) + 4 * solves + 1 + 2
         assert set(transforms) == {"rfft2", "irfft2"}
 
     def test_returned_residual_is_the_physical_one(self, coupled_ground):
@@ -76,20 +77,31 @@ class TestOneEvaluationPerIterate:
         assert abs(gs.residual - physical) < 1e-12
 
 
+def continuation(g, beta, rho, nu, cfg, stage_grid, loose_cfg):
+    """The continuation along solve_ground_state's stages, written out: every
+    stage before the last on stage_grid (g or g.half) under loose_cfg, then
+    the last on g under cfg."""
+    n = cfg.continuation_steps
+    S = 2.2 * np.exp(-stage_grid.r2 / 2.0)
+    for k in range(n):
+        S, _, _ = gs_mod._petviashvili(S, stage_grid, beta, rho * k / n, nu, loose_cfg)
+    if stage_grid is not g:
+        S = g.prolong(S)
+    return gs_mod._petviashvili(S, g, beta, rho, nu, cfg)
+
+
 class TestLooseIntermediateStages:
     def test_matches_all_stages_tight_with_fewer_sweeps(self, monkeypatch):
-        # the reference holds every stage to tol, stage by stage; the solver
-        # holds all but the last to sqrt(tol) and must land on the same state
+        # the reference holds every stage to tol, stage by stage, along the
+        # solver's path (the stages before the last on the half grid); the
+        # solver holds all but the last to sqrt(tol) and must land on the
+        # same state
         g = Grid2D(64, 64, 24.0, 24.0)
         beta, rho, nu = 1.0, -1.0, 1.0
         cfg = PetviashviliConfig(continuation_steps=4)
         sweeps = count_calls(monkeypatch, gs_mod, "symmetrize_even")
 
-        S = 2.2 * np.exp(-g.r2 / 2.0)
-        for k in range(cfg.continuation_steps + 1):
-            S, _, _ = gs_mod._petviashvili(
-                S, g, beta, rho * k / cfg.continuation_steps, nu, cfg
-            )
+        S, _, _ = continuation(g, beta, rho, nu, cfg, g.half, cfg)
         tight_sweeps = len(sweeps)
         sweeps.clear()
 
@@ -97,6 +109,29 @@ class TestLooseIntermediateStages:
         assert np.max(np.abs(gs.S.values - S)) < 1e-12
         assert gs.residual < cfg.tol
         assert 0 < len(sweeps) < tight_sweeps
+
+
+class TestHalfGridStages:
+    def test_matches_all_stages_on_the_grid(self, coupled_ground, grid_gs):
+        # the loose stages on the half grid only change the last stage's
+        # start, so the returned state moves by less than tol
+        cfg = PetviashviliConfig()
+        loose = PetviashviliConfig(tol=np.sqrt(cfg.tol))
+        S, _, _ = continuation(grid_gs, 1.0, -1.0, 1.0, cfg, grid_gs, loose)
+        assert np.max(np.abs(coupled_ground.S.values - S)) < cfg.tol
+        mass = np.sum(S * S) * grid_gs.cell_area
+        assert coupled_ground.mass == pytest.approx(mass, rel=1e-11)
+
+    def test_grid_without_a_half_runs_every_stage_on_it(self):
+        # 66 / 2 = 33 is odd, so the half grid fails check_grid
+        g = Grid2D(66, 66, 24.0, 24.0)
+        assert g.half is None
+        cfg = PetviashviliConfig(continuation_steps=2)
+        loose = PetviashviliConfig(tol=np.sqrt(cfg.tol))
+        S, X, residual = continuation(g, 1.0, -1.0, 1.0, cfg, g, loose)
+        gs = solve_ground_state(g, 1.0, -1.0, 1.0, cfg)
+        assert np.array_equal(gs.S.values, S) and np.array_equal(gs.X.values, X)
+        assert gs.residual == residual
 
 
 class TestCoupledGroundState:

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, minres
 
 from dsalpha import (
     ConvergenceError,
@@ -10,17 +13,20 @@ from dsalpha import (
     ModulationConstants,
     ParameterError,
     ReducedState,
+    SymmetryViolationError,
     collapse_fit,
     compute_constants,
     integrate_reduced,
     reduced_first_integral,
+    solve_ground_state,
     solve_linearized,
 )
 import dsalpha.modulation as modulation
-from dsalpha.ground_state import GroundState
+from dsalpha.ground_state import GroundState, symmetrize_even
 from dsalpha.fields import Field
 from dsalpha.spectral import fft2, ifft2
 from dsalpha.stepping import DiagnosticsRecord
+from conftest import count_transforms
 from oracles import meshes
 
 
@@ -168,6 +174,74 @@ class TestSolveLinearized:
     def test_unknown_mode_rejected(self, townes):
         with pytest.raises(ParameterError):
             solve_linearized(townes, ModelSpec(ModelKind.RDS1, 1.0, 0.0, 1.0, 0.1), "QQ")
+
+
+def full_grid_minres(ground, mode):
+    """The linearized solve on the full grid's real layout, projected onto
+    the even subspace: the quarter-grid solve's reference.  Returns the
+    correction pair and the relative residual."""
+    g = ground.grid
+    S, X = ground.S.values, ground.X.values
+    beta, rho = ground.beta, ground.rho
+    e_xx, k2 = g.real_symbol("e", ground.nu, "xx"), g.real_symbol("k2")
+    inv = g.real_symbol("helmholtz", 1.0)
+    if mode == "GY":
+        rhs = -0.25 * g.r2 * S
+    else:
+        lap_fh = -k2 * g.rfft2(S * S)
+        e_lap_f = g.irfft2(e_xx * lap_fh)
+        lap_X = g.irfft2(-k2 * g.rfft2(X))
+        rhs = -beta * S * g.irfft2(lap_fh) + rho * S * lap_X + rho * S * e_lap_f
+    rhs = symmetrize_even(rhs)
+
+    def apply_a(u):
+        u = u.reshape(g.shape)
+        nonloc = S * g.irfft2(e_xx * g.rfft2(S * u))
+        return (g.irfft2(-k2 * g.rfft2(u)) - u + (3.0 * beta * S * S - rho * X) * u
+                - 2.0 * rho * nonloc).ravel()
+
+    n = g.nx * g.ny
+    A = LinearOperator((n, n), matvec=apply_a, dtype=np.float64)
+    P = LinearOperator((n, n), matvec=lambda u: g.irfft2(inv * g.rfft2(u.reshape(g.shape))).ravel(),
+                       dtype=np.float64)
+    sol, info = minres(A, rhs.ravel(), M=P, rtol=1e-12, maxiter=20000)
+    assert info == 0
+    first = symmetrize_even(sol.reshape(g.shape))
+    second = 2.0 * g.irfft2(e_xx * g.rfft2(S * first)) + (e_lap_f if mode == "HZ" else 0.0)
+    rel_res = np.linalg.norm(apply_a(first) - rhs.ravel()) / np.linalg.norm(rhs)
+    return first, second, rel_res
+
+
+class TestQuarterGridSolve:
+    SPEC = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1)
+
+    @pytest.fixture(scope="class")
+    def ground(self, grid_medium):
+        return solve_ground_state(grid_medium, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("mode", ["GY", "HZ"])
+    def test_matches_full_grid_minres(self, ground, mode):
+        # the Krylov space of an even right-hand side is even, so the
+        # weighted quarter-grid MINRES makes the full-grid iterates
+        sol = solve_linearized(ground, self.SPEC, mode)
+        first, second, rel_res = full_grid_minres(ground, mode)
+        assert sol.residual < 1e-8 and rel_res < 1e-8
+        for got, want in ((sol.first.values, first), (sol.second.values, second)):
+            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mode", ["GY", "HZ"])
+    def test_makes_only_dcts_but_the_overlap_check(self, ground, mode, monkeypatch):
+        names = count_transforms(monkeypatch)
+        solve_linearized(ground, self.SPEC, mode)
+        assert names.count("rfft2") == 1 and names.count("irfft2") == 1
+        assert set(names) == {"dctn", "rfft2", "irfft2"}
+
+    @pytest.mark.parametrize("name", ["S", "X"])
+    def test_ground_state_not_even_raises(self, ground, name):
+        # a one-cell shift moves the profile's centre off index 0
+        shifted = Field(ground.grid, np.roll(getattr(ground, name).values, 1, axis=0))
+        with pytest.raises(SymmetryViolationError, match=f"{name} is not even"):
+            solve_linearized(replace(ground, **{name: shifted}), self.SPEC, "GY")
 
 
 class TestIntegrateReduced:
