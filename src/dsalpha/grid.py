@@ -19,11 +19,12 @@ loop run unchanged on either kind:
   corrections, the potential P) has a Hermitian spectrum, kept as its
   ky >= 0 half plane by rfft2/irfft2 and multiplied by real_symbol tables.
   Its half grid (nx/2 x ny/2 on the same box) holds such fields at half
-  the resolution, and prolong interpolates them back.
+  the resolution.
 - EvenGrid, the (nx/2+1) x (ny/2+1) quarter of a Grid2D that holds data
   even about index 0 in x and in y.  On such data the DFT is the DCT-I
   (REDFT00) of the quarter (Frigo & Johnson, Proc. IEEE 93, 2005), and
-  every symbol, even in kx and ky, is its kx, ky >= 0 quarter.
+  every symbol, even in kx and ky, is its kx, ky >= 0 quarter.  prolong
+  interpolates such data from the half grid's quarter.
 
 FFT_WORKERS (DSALPHA_FFT_WORKERS, default 1) is the thread count of every
 transform.
@@ -171,20 +172,6 @@ class Grid2D(_SymbolTables):
             return None
         return self.cached("half", lambda: Grid2D(*sides))
 
-    def prolong(self, a):
-        """Band-limited interpolation onto this grid of a real array on self.half.
-
-        Its half-plane spectrum is zero-padded, with the coarse Nyquist row and
-        column zeroed (they alias a +/- pair that the fine grid separates), and
-        scaled by 2 = sqrt(nx*ny / (nx/2 * ny/2)) for the ortho convention.
-        """
-        ah = self.half.rfft2(a)
-        hx, hy = self.nx // 4, self.ny // 4
-        out = np.zeros((self.nx, self.ny // 2 + 1), dtype=ah.dtype)
-        out[:hx, :hy] = ah[:hx, :hy]
-        out[-hx + 1 :, :hy] = ah[-hx + 1 :, :hy]
-        return self.irfft2(2.0 * out)
-
     @staticmethod
     def fft2(a):
         return _fft.fft2(a, norm="ortho", workers=FFT_WORKERS)
@@ -256,6 +243,18 @@ class EvenGrid(_SymbolTables):
         """The quarter of a full (nx, ny) array even about index 0 in x and in
         y, as a contiguous copy: the inverse of expand."""
         return a[: self.shape[0], : self.shape[1]].copy()
+
+    def prolong(self, q, coarse):
+        """Band-limited interpolation onto this quarter of q on coarse, the
+        quarter of the half grid.  Its DCT-I spectrum is zero-padded, with the
+        coarse Nyquist row and column zeroed (they alias a +/- pair that the
+        fine grid separates), and scaled by 2 = sqrt(nx*ny / (nx/2 * ny/2))
+        for the unitary convention."""
+        qh = coarse.rfft2(q)
+        hx, hy = self.nx // 4, self.ny // 4
+        out = np.zeros(self.shape, dtype=qh.dtype)
+        out[:hx, :hy] = 2.0 * qh[:hx, :hy]
+        return self.irfft2(out)
 
     def expand(self, q):
         """The full (nx, ny) array whose quarter is q: a[-i] = a[i] per axis."""

@@ -7,14 +7,8 @@ Solves, with lambda fixed to 1 (other values reachable by rescaling),
 as the single fixed-point equation S = (1 - Lap)^{-1} [beta S^3 - rho S E(S^2)]
 stabilized by the Petviashvili factor M^{3/2}.  The nonlinearity is cubic
 (E is linear), and for degree p = 3 the exponent p/(p - 1) = 3/2 zeroes the
-sweep's eigenvalue p - gamma (p - 1) along S itself.  The iterate
-is symmetrized to be even in both variables every sweep: this pins
-translation invariance, and it makes the returned S even about index 0
-bit for bit, which the linearized solves downstream require (they run on
-the grid's even quarter).  symmetrize_even is that full-grid projection,
-called once per sweep and nowhere else, so bench/workloads.py counts
-sweeps by its calls.  Each sweep evaluates S's
-spectrum, X = E(S^2) and the spectrum of the nonlinearity once, for the
+sweep's eigenvalue p - gamma (p - 1) along S itself.  Each sweep evaluates
+S's spectrum, X = E(S^2) and the spectrum of the nonlinearity once, for the
 updated iterate, and uses them for its residual (in spectral space, by
 Plancherel) and the next sweep; the stored X is that of the returned S.
 
@@ -26,15 +20,19 @@ max(tol, sqrt(tol)) and only the last stage runs to `tol`: the returned
 residual still meets `tol`, and each loose stage only has to hand the next
 one a start inside its basin of convergence (Pelinovsky & Stepanyants,
 SIAM J. Numer. Anal. 42, 2004).  With rho = 0 the single stage runs to tol.
-The loose stages run on grid.half, a quarter of the samples, and their
-state is carried to the grid by band-limited interpolation (grid.prolong)
-for the last stage: nested iteration (Briggs, Henson & McCormick, A
-Multigrid Tutorial, 2000).  Where the grid has no half (grid.half is None)
-every stage runs on the grid.
 
-S, X and every product of them are real, so the solver runs on the grid's
-real layout (rfft2, real_symbol, hermitian_sum); residual_norm stays on
-complex transforms as the independent check.
+Every stage runs on an EvenGrid quarter with DCT-I transforms.  The centred
+seed is even about index 0 bit for bit, and every symbol is even in kx and
+ky, so the iterates stay even: the quarter sweep makes the full grid's
+iterates, and evenness (which pins translation invariance) is the grid
+itself rather than a projection.  The loose stages run on the quarter of
+grid.half, a quarter of the samples, and their state is carried to the
+grid's quarter by band-limited interpolation (EvenGrid.prolong) for the
+last stage: nested iteration (Briggs, Henson & McCormick, A Multigrid
+Tutorial, 2000).  Where the grid has no half (grid.half is None) every
+stage runs on grid.even.  S and X are expanded to full-grid Fields at the
+end; residual_norm stays on complex full-grid transforms as the
+independent check.
 """
 
 import math
@@ -85,9 +83,10 @@ class GroundState:
 
 
 def symmetrize_even(a):
-    """Project onto the subspace even in x and in y (grid reflection)."""
-    a = 0.5 * (a + np.roll(a[::-1, :], 1, axis=0))
-    a = 0.5 * (a + np.roll(a[:, ::-1], 1, axis=1))
+    """The sweep marker: called once per Petviashvili sweep, on the new
+    iterate, and nowhere else.  The iterate lives on an EvenGrid quarter, so
+    it is even by construction and this returns it unchanged.  bench/ counts
+    sweeps by patching it, until the benchmark reads solver statistics."""
     return a
 
 
@@ -113,7 +112,8 @@ def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> flo
 
 
 def _petviashvili(S, grid, beta, rho, nu, cfg):
-    """Iterate at fixed parameters from S; returns (S, X = E(S^2), residual)."""
+    """Iterate at fixed parameters from S on the EvenGrid quarter grid;
+    returns (S, X = E(S^2), residual) on that quarter."""
     inv = grid.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
     e_xx = grid.real_symbol("e", nu, "xx")
     one_minus_lap = grid.real_symbol("one_minus_laplacian")
@@ -176,27 +176,26 @@ def solve_ground_state(
     n = cfg.continuation_steps
     earlier = [] if rho == 0.0 else [0.0] + [rho * k / n for k in range(1, n)]
     loose = replace(cfg, tol=max(cfg.tol, math.sqrt(cfg.tol)))
-    coarse = grid.half if earlier else None
-    stage_grid = grid if coarse is None else coarse
+    stage_grid = grid.half if earlier and grid.half is not None else grid
+    stage, q = stage_grid.even, grid.even
     # amplitude near the known peak value of the cubic profile
-    S = 2.2 * np.exp(-stage_grid.r2 / 2.0)
+    S = 2.2 * np.exp(-stage.restrict(stage_grid.r2) / 2.0)
     for rho_k in earlier:
-        S, _, _ = _petviashvili(S, stage_grid, beta, rho_k, nu, loose)
-    if coarse is not None:
-        S = grid.prolong(S)
-    S, X, residual = _petviashvili(S, grid, beta, rho, nu, cfg)
+        S, _, _ = _petviashvili(S, stage, beta, rho_k, nu, loose)
+    if stage is not q:
+        S = q.prolong(S, stage)
+    S, X, residual = _petviashvili(S, q, beta, rho, nu, cfg)
 
     da = grid.cell_area
     f = S * S
-    grad_f_sq = grid.hermitian_sum(grid.real_symbol("k2") * np.abs(grid.rfft2(f)) ** 2) * da
     return GroundState(
-        S=Field(grid, S),
-        X=Field(grid, X),
+        S=Field(grid, q.expand(S)),
+        X=Field(grid, q.expand(X)),
         lam=1.0,
         residual=float(residual),
-        mass=float(np.sum(f) * da),
-        grad_S2_sq=grad_f_sq,
-        second_moment=float(np.sum(grid.r2 * f) * da),
+        mass=float(q.sum(f) * da),
+        grad_S2_sq=float(q.hermitian_sum(q.k2 * np.abs(q.rfft2(f)) ** 2) * da),
+        second_moment=float(q.sum(q.restrict(grid.r2) * f) * da),
         beta=beta,
         rho=rho,
         nu=nu,

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own code paths: the radial profile
 oracle solves the steady ODE by shooting with a generic ODE integrator and
-bisection, nothing spectral, and the grid tables come from np.meshgrid
-rather than the grid's own broadcasts.
+bisection, nothing spectral, the grid tables come from np.meshgrid
+rather than the grid's own broadcasts, and the even projection and the
+half-grid interpolation act on full-grid arrays with numpy alone.
 """
 
 import numpy as np
@@ -56,3 +57,21 @@ def cubic_profile_critical_mass():
     rr = np.linspace(14.0, 60.0, 10001)
     mass_tail = 2 * np.pi * np.trapezoid(tail_c**2 * np.exp(-2 * rr), rr)
     return s0, mass_core + mass_tail
+
+
+def even_part(a):
+    """Projection onto arrays even about index 0 in x and in y (the grid
+    reflection a[-i] = a[i] per axis)."""
+    a = 0.5 * (a + np.roll(a[::-1, :], 1, axis=0))
+    a = 0.5 * (a + np.roll(a[:, ::-1], 1, axis=1))
+    return a
+
+
+def prolong(g, a):
+    """Band-limited interpolation onto g of a real array on g.half, by numpy's
+    full-plane FFT: the modes |m| < n/4 are kept and the half grid's Nyquist
+    modes dropped."""
+    mx, my = (np.r_[0 : n // 4, -(n // 4) + 1 : 0] for n in (g.nx, g.ny))
+    spectrum = np.zeros(g.shape, dtype=complex)
+    spectrum[np.ix_(mx, my)] = np.fft.fft2(a)[np.ix_(mx, my)]
+    return np.fft.ifft2(4.0 * spectrum).real

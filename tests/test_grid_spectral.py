@@ -167,38 +167,43 @@ def cached_tables(grid):
 class TestRealLayoutCache:
     SPEC = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
 
+    # the Petviashvili solve's tables, built on the quarters of the grid and
+    # of its half grid (the EvenGrid builds its k2 and dealias_zero itself)
+    SOLVE = [("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (1.0,)), ("k2", ()),
+             ("one_minus_laplacian", ())]
+
     @pytest.mark.parametrize("nx, ny", [(64, 48), (48, 64)])
     def test_real_tables_are_contiguous_ky_nonnegative_columns(self, nx, ny):
         # every cached table the real pipelines read, after a Petviashvili
         # solve and an RDS3 run on a fresh grid: C-contiguous, and bit for
-        # bit the ky >= 0 columns of its full-plane symbol.  The run starts
-        # from a centred Gaussian, so its tables are on the grid's EvenGrid,
-        # and there they are the kx >= 0 rows of those columns
+        # bit the ky >= 0 columns of its full-plane symbol.  The solve runs on
+        # the quarters of the grid and of its half grid, and the run starts
+        # from a centred Gaussian, so every table is on an EvenGrid, and there
+        # it is the kx >= 0 rows of those columns
         g = Grid2D(nx, ny, 24.0, 20.0)
         self.solve_and_run(g, gaussian_state(g, 1.5, 1.0))
-        assert sorted(key[:2] for key in cached_tables(g)) == [
-            ("e", (1.0, "xx")), ("helmholtz", (1.0,)), ("k2", ()), ("one_minus_laplacian", ()),
-        ]
-        quarter = cached_tables(g.even)
-        assert sorted(key[:2] for key in quarter if key[0] != "potential") == [
-            ("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (0.3,)), ("k2", ()),
-        ]
+        assert cached_tables(g) == {}
+        quarter, half_quarter = cached_tables(g.even), cached_tables(g.half.even)
+        assert sorted(key[:2] for key in quarter if key[0] != "potential") == sorted(
+            self.SOLVE + [("helmholtz", (0.3,))]
+        )
         assert ("potential", self.SPEC) in quarter
-        self.check_tables(g, cached_tables(g), nx)
+        assert sorted(key[:2] for key in half_quarter) == self.SOLVE
         self.check_tables(g, quarter, nx // 2 + 1)
+        self.check_tables(g.half, half_quarter, nx // 4 + 1)
 
     @pytest.mark.parametrize("nx, ny", [(64, 48), (48, 64)])
     def test_real_tables_are_contiguous_ky_nonnegative_columns_full_grid(self, nx, ny):
-        # the same after a run from a Gaussian that is not even, all on the grid
+        # the same after a run from a Gaussian that is not even: the run's
+        # tables are on the grid, the solve's on the quarters
         g = Grid2D(nx, ny, 24.0, 20.0)
         self.solve_and_run(g, gaussian_state(g, 1.5, 1.0, center=(g.dx, 0.0)))
         real = cached_tables(g)
         assert sorted(key[:2] for key in real if key[0] != "potential") == [
             ("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (0.3,)),
-            ("helmholtz", (1.0,)), ("k2", ()), ("one_minus_laplacian", ()),
         ]
         assert ("potential", self.SPEC) in real
-        assert "even" not in g._multiplier_cache
+        assert sorted(key[:2] for key in cached_tables(g.even)) == self.SOLVE
         self.check_tables(g, real, nx)
 
     def solve_and_run(self, g, v0):
@@ -318,20 +323,22 @@ class TestHalfGrid:
 
     @pytest.mark.parametrize("nx,ny", [(32, 32), (48, 32)])
     def test_prolong_interpolates_band_limited_data_exactly(self, nx, ny):
-        # every mode below the half grid's Nyquist is sampled again exactly;
-        # the half grid's Nyquist modes are dropped
+        # on the quarters: every even mode below the half grid's Nyquist is
+        # sampled again exactly; the half grid's Nyquist modes are dropped
         g = Grid2D(nx, ny, 2 * np.pi, 4 * np.pi)
         h = g.half
+        e, coarse = g.even, h.even
         mx, my = nx // 4 - 1, ny // 4 - 1
 
         def smooth(grid):
             x, y = grid.x[:, None], grid.y[None, :]
-            return 1.0 + np.cos(mx * x) * np.sin(0.5 * y + 0.3) + np.sin(x - 0.2) * np.cos(0.5 * my * y)
+            return 1.0 + np.cos(mx * x) * np.cos(0.5 * y) + np.cos(x) * np.cos(0.5 * my * y)
 
-        got = g.prolong(smooth(h))
-        assert np.max(np.abs(got - smooth(g))) < 1e-13
-        nyquist = np.cos((nx // 4) * h.x)[:, None] * np.ones(h.ny)
-        assert np.max(np.abs(g.prolong(nyquist))) < 1e-14
+        got = e.prolong(coarse.restrict(smooth(h)), coarse)
+        assert got.shape == e.shape
+        assert np.max(np.abs(got - e.restrict(smooth(g)))) < 1e-13
+        nyquist = np.cos((nx // 4) * h.x)[:, None] + np.cos((ny // 8) * h.y)[None, :]
+        assert np.max(np.abs(e.prolong(coarse.restrict(nyquist), coarse))) < 1e-14
 
 
 class TestHelmholtzInverse:

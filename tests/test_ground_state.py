@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dsalpha import (
     ConvergenceError,
+    DegenerateLimitError,
     Field,
     Grid2D,
     GridMismatchError,
@@ -15,7 +18,7 @@ from dsalpha import (
 )
 import dsalpha.ground_state as gs_mod
 from conftest import count_calls, count_transforms
-from oracles import cubic_profile_critical_mass
+from oracles import cubic_profile_critical_mass, even_part, prolong
 
 # frozen from the shooting oracle (see oracles.py); the oracle is also run
 # live in test_cubic_limit_matches_shooting_oracle
@@ -49,16 +52,17 @@ class TestOneEvaluationPerIterate:
         # bit for bit: an X taken from the iterate before its last update
         # would differ at roundoff
         gs = request.getfixturevalue(name)
-        g, S = gs.grid, gs.S.values
-        X = g.irfft2(g.real_symbol("e", gs.nu, "xx") * g.rfft2(S * S))
-        assert np.array_equal(gs.X.values, X)
+        e = gs.grid.even
+        S = e.restrict(gs.S.values)
+        X = e.irfft2(e.real_symbol("e", gs.nu, "xx") * e.rfft2(S * S))
+        assert np.array_equal(gs.X.values, e.expand(X))
 
     def test_petviashvili_sweep_makes_five_transforms(self, monkeypatch):
-        # all real: per sweep the (1 - Lap)^{-1} update, then the new
-        # iterate's spectrum, X (2) and the spectrum of N, which serves both
-        # the spectral residual and the next sweep; per fixed-rho solve 4 for
-        # the seed's; at the end rfft2(S^2); and 2 for the prolongation from
-        # the half grid.  No complex transform is made.
+        # all DCT-I on quarters: per sweep the (1 - Lap)^{-1} update, then
+        # the new iterate's spectrum, X (2) and the spectrum of N, which
+        # serves both the spectral residual and the next sweep; per fixed-rho
+        # solve 4 for the seed's; at the end the spectrum of S^2; and 2 for
+        # the prolongation from the half grid's quarter.  No FFT is made.
         cfg = PetviashviliConfig(continuation_steps=2)
         transforms = count_transforms(monkeypatch)
         sweeps = count_calls(monkeypatch, gs_mod, "symmetrize_even")
@@ -66,7 +70,7 @@ class TestOneEvaluationPerIterate:
         solves = 1 + cfg.continuation_steps
         assert len(sweeps) > 0
         assert len(transforms) == 5 * len(sweeps) + 4 * solves + 1 + 2
-        assert set(transforms) == {"rfft2", "irfft2"}
+        assert set(transforms) == {"dctn"}
 
     def test_returned_residual_is_the_physical_one(self, coupled_ground):
         # the spectral (Plancherel) residual the solver stops on equals the
@@ -78,16 +82,19 @@ class TestOneEvaluationPerIterate:
 
 
 def continuation(g, beta, rho, nu, cfg, stage_grid, loose_cfg):
-    """The continuation along solve_ground_state's stages, written out: every
-    stage before the last on stage_grid (g or g.half) under loose_cfg, then
-    the last on g under cfg."""
+    """The continuation along solve_ground_state's stages, written out on
+    quarters: every stage before the last on stage_grid.even (stage_grid is
+    g or g.half) under loose_cfg, then the last on g.even under cfg.
+    Returns the full-grid S and X and the last stage's residual."""
     n = cfg.continuation_steps
-    S = 2.2 * np.exp(-stage_grid.r2 / 2.0)
+    stage, q = stage_grid.even, g.even
+    S = stage.restrict(2.2 * np.exp(-stage_grid.r2 / 2.0))
     for k in range(n):
-        S, _, _ = gs_mod._petviashvili(S, stage_grid, beta, rho * k / n, nu, loose_cfg)
-    if stage_grid is not g:
-        S = g.prolong(S)
-    return gs_mod._petviashvili(S, g, beta, rho, nu, cfg)
+        S, _, _ = gs_mod._petviashvili(S, stage, beta, rho * k / n, nu, loose_cfg)
+    if stage is not q:
+        S = q.prolong(S, stage)
+    S, X, residual = gs_mod._petviashvili(S, q, beta, rho, nu, cfg)
+    return q.expand(S), q.expand(X), residual
 
 
 class TestLooseIntermediateStages:
@@ -132,6 +139,60 @@ class TestHalfGridStages:
         gs = solve_ground_state(g, 1.0, -1.0, 1.0, cfg)
         assert np.array_equal(gs.S.values, S) and np.array_equal(gs.X.values, X)
         assert gs.residual == residual
+
+
+def full_grid_reference(monkeypatch, g, beta, rho, nu, cfg):
+    """The continuation as it ran on the full grid's real layout: every sweep
+    projected onto the even subspace by even_part, the loose stages on
+    g.half where it exists and rho != 0, and the interpolation onto g by
+    numpy's full-plane FFT.  Returns the last stage's S and its mass."""
+    n = cfg.continuation_steps
+    earlier = [] if rho == 0.0 else [rho * k / n for k in range(n)]
+    loose = replace(cfg, tol=max(cfg.tol, np.sqrt(cfg.tol)))
+    stage = g.half if earlier and g.half is not None else g
+    with monkeypatch.context() as m:
+        m.setattr(gs_mod, "symmetrize_even", even_part)
+        S = 2.2 * np.exp(-stage.r2 / 2.0)
+        for rho_k in earlier:
+            S, _, _ = gs_mod._petviashvili(S, stage, beta, rho_k, nu, loose)
+        if stage is not g:
+            S = prolong(g, S)
+        S, _, _ = gs_mod._petviashvili(S, g, beta, rho, nu, cfg)
+    return S, np.sum(S * S) * g.cell_area
+
+
+class TestQuarterMatchesFullGrid:
+    """The sweep on the even quarter makes the full grid's projected iterates."""
+
+    def test_ground_state_matches_the_full_grid_sweep(self, monkeypatch, coupled_ground, grid_gs):
+        S, mass = full_grid_reference(monkeypatch, grid_gs, 1.0, -1.0, 1.0, PetviashviliConfig())
+        assert np.max(np.abs(coupled_ground.S.values - S)) < 1e-12
+        assert coupled_ground.mass == pytest.approx(mass, rel=1e-12)
+
+    @pytest.mark.parametrize("n, box, beta, rho", [
+        # converging cases, each n, box and (beta, rho) at least once
+        (16, 8.0, 1.0, -1.0), (16, 64.0, 0.5, -2.0), (32, 16.0, 1.0, 0.0),
+        (32, 32.0, 1.0, 0.5), (48, 32.0, 0.5, -2.0), (48, 64.0, 1.0, -1.0),
+        (64, 8.0, 1.0, 0.5), (64, 16.0, 1.0, 0.0),
+        # stages that lose positivity, and one that stalls
+        (16, 8.0, 1.0, 10.0), (64, 64.0, 0.2, 5.0), (32, 16.0, 1.0, 3.0),
+    ])
+    def test_raises_exactly_where_the_full_grid_sweep_raises(self, monkeypatch, n, box, beta, rho):
+        g = Grid2D(n, n, box, box)
+        cfg = PetviashviliConfig(max_iter=400)
+
+        def outcome(solve):
+            try:
+                return solve()
+            except (ConvergenceError, DegenerateLimitError) as exc:
+                return type(exc), str(exc).split(" (last residual")[0]
+
+        got = outcome(lambda: solve_ground_state(g, beta, rho, 1.0, cfg).mass)
+        want = outcome(lambda: full_grid_reference(monkeypatch, g, beta, rho, 1.0, cfg)[1])
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCoupledGroundState:

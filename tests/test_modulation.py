@@ -22,12 +22,12 @@ from dsalpha import (
     solve_linearized,
 )
 import dsalpha.modulation as modulation
-from dsalpha.ground_state import GroundState, symmetrize_even
+from dsalpha.ground_state import GroundState
 from dsalpha.fields import Field
 from dsalpha.spectral import fft2, ifft2
 from dsalpha.stepping import DiagnosticsRecord
 from conftest import count_transforms
-from oracles import meshes
+from oracles import even_part, meshes
 
 
 def synthetic_gaussian_ground(grid):
@@ -192,7 +192,7 @@ def full_grid_minres(ground, mode):
         e_lap_f = g.irfft2(e_xx * lap_fh)
         lap_X = g.irfft2(-k2 * g.rfft2(X))
         rhs = -beta * S * g.irfft2(lap_fh) + rho * S * lap_X + rho * S * e_lap_f
-    rhs = symmetrize_even(rhs)
+    rhs = even_part(rhs)
 
     def apply_a(u):
         u = u.reshape(g.shape)
@@ -206,7 +206,7 @@ def full_grid_minres(ground, mode):
                        dtype=np.float64)
     sol, info = minres(A, rhs.ravel(), M=P, rtol=1e-12, maxiter=20000)
     assert info == 0
-    first = symmetrize_even(sol.reshape(g.shape))
+    first = even_part(sol.reshape(g.shape))
     second = 2.0 * g.irfft2(e_xx * g.rfft2(S * first)) + (e_lap_f if mode == "HZ" else 0.0)
     rel_res = np.linalg.norm(apply_a(first) - rhs.ravel()) / np.linalg.norm(rhs)
     return first, second, rel_res
