@@ -54,6 +54,7 @@ def _cmd_ground_state(args):
         "beta": gs.beta,
         "rho": gs.rho,
         "nu": gs.nu,
+        "stages": [vars(stage) for stage in gs.stages],
     }
     with atomic_open(os.path.join(cfg.output_dir, "ground_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -14,25 +14,30 @@ Plancherel) and the next sweep; the stored X is that of the returned S.
 
 Starting the coupled iteration cold at large |rho| can stagnate, so the
 solver continues in rho from the rho = 0 cubic ground state (the Townes
-profile) in equal steps.  Only the last stage's state is returned, so the
+profile) in equal steps.  Only the target stage's state is returned, so the
 Townes stage and the intermediate rho stages stop at the looser tolerance
-max(tol, sqrt(tol)) and only the last stage runs to `tol`: the returned
-residual still meets `tol`, and each loose stage only has to hand the next
-one a start inside its basin of convergence (Pelinovsky & Stepanyants,
-SIAM J. Numer. Anal. 42, 2004).  With rho = 0 the single stage runs to tol.
+max(tol, sqrt(tol)) and only the target stage (rho itself) runs to `tol`:
+the returned residual still meets `tol`, and each loose stage only has to
+hand the next one a start inside its basin of convergence (Pelinovsky &
+Stepanyants, SIAM J. Numer. Anal. 42, 2004).  With rho = 0 no stage comes
+before the target stage.
 
 Every stage runs on an EvenGrid quarter with DCT-I transforms.  The centred
 seed is even about index 0 bit for bit, and every symbol is even in kx and
 ky, so the iterates stay even: the quarter sweep makes the full grid's
 iterates, and evenness (which pins translation invariance) is the grid
-itself rather than a projection.  The loose stages run on the quarter of
-grid.half, a quarter of the samples, and their state is carried to the
-grid's quarter by band-limited interpolation (EvenGrid.prolong) for the
-last stage: nested iteration (Briggs, Henson & McCormick, A Multigrid
-Tutorial, 2000).  Where the grid has no half (grid.half is None) every
-stage runs on grid.even.  S and X are expanded to full-grid Fields at the
-end; residual_norm stays on complex full-grid transforms as the
-independent check.
+itself rather than a projection.  Where the grid has a half (grid.half), the
+loose stages and then the target stage, to `tol`, run on the quarter of
+grid.half, a quarter of the samples.  Their state is carried to the grid's
+quarter by band-limited interpolation (EvenGrid.prolong), and the target
+stage is finished there to `tol`: nested iteration (Briggs, Henson &
+McCormick, A Multigrid Tutorial, 2000).  The grid's stage then starts within
+the half grid's discretization gap and needs a few sweeps.  Where the grid
+has no half (grid.half is None) every stage runs once, on grid.even.
+GroundState.stages records each stage run: its rho, quarter shape, sweeps
+and residual.  S and X are expanded to full-grid Fields at the end;
+residual_norm stays on complex full-grid transforms as the independent
+check.
 """
 
 import math
@@ -59,11 +64,23 @@ class PetviashviliConfig:
 
 
 @dataclass
+class StageStats:
+    """One Petviashvili stage of a solve: its rho, the shape of the quarter
+    it ran on, its sweeps and the residual it stopped at."""
+
+    rho: float
+    shape: tuple
+    sweeps: int
+    residual: float
+
+
+@dataclass
 class GroundState:
     """Converged (S, X) pair with the scalars the modulation module needs.
 
     X is always derived as E(S^2) from the stored S; mass is |S|_2^2,
     grad_S2_sq is int |grad(S^2)|^2 and second_moment is int |xi|^2 S^2.
+    stages holds the solve's StageStats in the order the stages ran.
     """
 
     S: Field
@@ -76,6 +93,7 @@ class GroundState:
     beta: float
     rho: float
     nu: float
+    stages: tuple = ()
 
     @property
     def grid(self):
@@ -113,7 +131,7 @@ def residual_norm(S: Field, X: Field, beta: float, rho: float, nu: float) -> flo
 
 def _petviashvili(S, grid, beta, rho, nu, cfg):
     """Iterate at fixed parameters from S on the EvenGrid quarter grid;
-    returns (S, X = E(S^2), residual) on that quarter."""
+    returns (S, X = E(S^2), residual) on that quarter and the sweeps made."""
     inv = grid.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
     e_xx = grid.real_symbol("e", nu, "xx")
     one_minus_lap = grid.real_symbol("one_minus_laplacian")
@@ -132,7 +150,7 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
         return Sh, X, Nh, math.sqrt(defect * grid.cell_area)
 
     Sh, X, Nh, residual = evaluate(S)
-    for _ in range(cfg.max_iter):
+    for sweep in range(1, cfg.max_iter + 1):
         denom = grid.hermitian_sum((np.conj(Sh) * Nh).real)
         if denom <= 0:
             raise DegenerateLimitError(
@@ -146,7 +164,7 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
             raise DegenerateLimitError("iterate collapsed to the trivial solution")
         Sh, X, Nh, residual = evaluate(S)
         if residual < cfg.tol:
-            return S, X, residual
+            return S, X, residual, sweep
     raise ConvergenceError(
         f"Petviashvili stage rho={rho:g} did not reach tol={cfg.tol:g} in "
         f"{cfg.max_iter} iterations (last residual {residual:.3e})",
@@ -171,20 +189,29 @@ def solve_ground_state(
         )
     cfg = cfg or PetviashviliConfig()
 
-    # the Townes seed stage, then rho in equal steps up to rho; only the
-    # last stage's state is kept, so the stages before it stop at sqrt(tol)
+    # the Townes seed stage, then rho in equal steps, then the target stage at
+    # rho; only the target stage's state is kept, so the stages before it stop
+    # at sqrt(tol).  With a half grid they all run on its quarter, and the
+    # target stage is finished on the grid's
     n = cfg.continuation_steps
     earlier = [] if rho == 0.0 else [0.0] + [rho * k / n for k in range(1, n)]
     loose = replace(cfg, tol=max(cfg.tol, math.sqrt(cfg.tol)))
-    stage_grid = grid.half if earlier and grid.half is not None else grid
+    stage_grid = grid.half if grid.half is not None else grid
     stage, q = stage_grid.even, grid.even
+    stages = []
+
+    def run(S, on, rho_k, stage_cfg):
+        S, X, residual, sweeps = _petviashvili(S, on, beta, rho_k, nu, stage_cfg)
+        stages.append(StageStats(rho_k, on.shape, sweeps, float(residual)))
+        return S, X, residual
+
     # amplitude near the known peak value of the cubic profile
     S = 2.2 * np.exp(-stage.restrict(stage_grid.r2) / 2.0)
     for rho_k in earlier:
-        S, _, _ = _petviashvili(S, stage, beta, rho_k, nu, loose)
+        S, _, _ = run(S, stage, rho_k, loose)
+    S, X, residual = run(S, stage, rho, cfg)
     if stage is not q:
-        S = q.prolong(S, stage)
-    S, X, residual = _petviashvili(S, q, beta, rho, nu, cfg)
+        S, X, residual = run(q.prolong(S, stage), q, rho, cfg)
 
     da = grid.cell_area
     f = S * S
@@ -199,4 +226,5 @@ def solve_ground_state(
         beta=beta,
         rho=rho,
         nu=nu,
+        stages=tuple(stages),
     )

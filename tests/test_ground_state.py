@@ -62,12 +62,14 @@ class TestOneEvaluationPerIterate:
         # the new iterate's spectrum, X (2) and the spectrum of N, which
         # serves both the spectral residual and the next sweep; per fixed-rho
         # solve 4 for the seed's; at the end the spectrum of S^2; and 2 for
-        # the prolongation from the half grid's quarter.  No FFT is made.
+        # the prolongation from the half grid's quarter.  The grid has a half,
+        # so the target stage runs twice: on the half grid's quarter, then on
+        # the grid's.  No FFT is made.
         cfg = PetviashviliConfig(continuation_steps=2)
         transforms = count_transforms(monkeypatch)
         sweeps = count_calls(monkeypatch, gs_mod, "symmetrize_even")
         solve_ground_state(Grid2D(64, 64, 24.0, 24.0), 1.0, -1.0, 1.0, cfg)
-        solves = 1 + cfg.continuation_steps
+        solves = 2 + cfg.continuation_steps
         assert len(sweeps) > 0
         assert len(transforms) == 5 * len(sweeps) + 4 * solves + 1 + 2
         assert set(transforms) == {"dctn"}
@@ -83,26 +85,28 @@ class TestOneEvaluationPerIterate:
 
 def continuation(g, beta, rho, nu, cfg, stage_grid, loose_cfg):
     """The continuation along solve_ground_state's stages, written out on
-    quarters: every stage before the last on stage_grid.even (stage_grid is
-    g or g.half) under loose_cfg, then the last on g.even under cfg.
-    Returns the full-grid S and X and the last stage's residual."""
+    quarters: the stages before the target stage under loose_cfg and the
+    target stage under cfg, all on stage_grid.even (stage_grid is g or
+    g.half); where stage_grid is g.half, the target stage again on g.even
+    from the prolonged state.  Returns the full-grid S and X and the last
+    stage's residual."""
     n = cfg.continuation_steps
     stage, q = stage_grid.even, g.even
     S = stage.restrict(2.2 * np.exp(-stage_grid.r2 / 2.0))
     for k in range(n):
-        S, _, _ = gs_mod._petviashvili(S, stage, beta, rho * k / n, nu, loose_cfg)
+        S, _, _, _ = gs_mod._petviashvili(S, stage, beta, rho * k / n, nu, loose_cfg)
+    S, X, residual, _ = gs_mod._petviashvili(S, stage, beta, rho, nu, cfg)
     if stage is not q:
-        S = q.prolong(S, stage)
-    S, X, residual = gs_mod._petviashvili(S, q, beta, rho, nu, cfg)
+        S, X, residual, _ = gs_mod._petviashvili(q.prolong(S, stage), q, beta, rho, nu, cfg)
     return q.expand(S), q.expand(X), residual
 
 
 class TestLooseIntermediateStages:
     def test_matches_all_stages_tight_with_fewer_sweeps(self, monkeypatch):
         # the reference holds every stage to tol, stage by stage, along the
-        # solver's path (the stages before the last on the half grid); the
-        # solver holds all but the last to sqrt(tol) and must land on the
-        # same state
+        # solver's path (every stage on the half grid, then the target stage
+        # on the grid); the solver holds the stages before the target stage
+        # to sqrt(tol) and must land on the same state
         g = Grid2D(64, 64, 24.0, 24.0)
         beta, rho, nu = 1.0, -1.0, 1.0
         cfg = PetviashviliConfig(continuation_steps=4)
@@ -120,7 +124,7 @@ class TestLooseIntermediateStages:
 
 class TestHalfGridStages:
     def test_matches_all_stages_on_the_grid(self, coupled_ground, grid_gs):
-        # the loose stages on the half grid only change the last stage's
+        # the stages on the half grid only change the grid's target stage's
         # start, so the returned state moves by less than tol
         cfg = PetviashviliConfig()
         loose = PetviashviliConfig(tol=np.sqrt(cfg.tol))
@@ -139,26 +143,55 @@ class TestHalfGridStages:
         gs = solve_ground_state(g, 1.0, -1.0, 1.0, cfg)
         assert np.array_equal(gs.S.values, S) and np.array_equal(gs.X.values, X)
         assert gs.residual == residual
+        # each stage runs once, and the target stage is not repeated
+        assert [(s.rho, s.shape) for s in gs.stages] == [(0.0, (34, 34)), (-0.5, (34, 34)),
+                                                         (-1.0, (34, 34))]
 
 
 def full_grid_reference(monkeypatch, g, beta, rho, nu, cfg):
     """The continuation as it ran on the full grid's real layout: every sweep
-    projected onto the even subspace by even_part, the loose stages on
-    g.half where it exists and rho != 0, and the interpolation onto g by
-    numpy's full-plane FFT.  Returns the last stage's S and its mass."""
+    projected onto the even subspace by even_part; where g.half exists, the
+    loose stages and the target stage on g.half, then the interpolation onto
+    g by numpy's full-plane FFT and the target stage again on g.  Returns
+    the last stage's S and its mass."""
     n = cfg.continuation_steps
     earlier = [] if rho == 0.0 else [rho * k / n for k in range(n)]
     loose = replace(cfg, tol=max(cfg.tol, np.sqrt(cfg.tol)))
-    stage = g.half if earlier and g.half is not None else g
+    stage = g if g.half is None else g.half
     with monkeypatch.context() as m:
         m.setattr(gs_mod, "symmetrize_even", even_part)
         S = 2.2 * np.exp(-stage.r2 / 2.0)
         for rho_k in earlier:
-            S, _, _ = gs_mod._petviashvili(S, stage, beta, rho_k, nu, loose)
+            S, _, _, _ = gs_mod._petviashvili(S, stage, beta, rho_k, nu, loose)
+        S, _, _, _ = gs_mod._petviashvili(S, stage, beta, rho, nu, cfg)
         if stage is not g:
-            S = prolong(g, S)
-        S, _, _ = gs_mod._petviashvili(S, g, beta, rho, nu, cfg)
+            S, _, _, _ = gs_mod._petviashvili(prolong(g, S), g, beta, rho, nu, cfg)
     return S, np.sum(S * S) * g.cell_area
+
+
+class TestStageStatistics:
+    def test_stage_sweeps_sum_to_the_sweep_markers(self, monkeypatch, coupled_ground, grid_gs):
+        # the Townes stage, the rho steps and the target stage on the half
+        # grid's quarter, then the target stage on the grid's
+        sweeps = count_calls(monkeypatch, gs_mod, "symmetrize_even")
+        solve_ground_state(grid_gs, 1.0, -1.0, 1.0)
+        stages = coupled_ground.stages
+        assert sum(s.sweeps for s in stages) == len(sweeps)
+        n = PetviashviliConfig().continuation_steps
+        assert [s.rho for s in stages] == [0.0] + [-k / n for k in range(1, n)] + [-1.0, -1.0]
+        assert [s.shape for s in stages] == [grid_gs.half.even.shape] * (n + 1) + [(129, 129)]
+        assert all(s.sweeps > 0 for s in stages)
+        assert stages[-1].residual == coupled_ground.residual
+
+    def test_grid_stage_starts_within_the_half_grid_gap(self):
+        # at 512^2 / box 48 the half grid (dx = 0.1875) resolves the profile,
+        # so the grid's target stage starts within the half grid's
+        # discretization gap: it makes at most a third of the 36 sweeps it
+        # makes from the prolonged loose state of the last rho step
+        gs = solve_ground_state(Grid2D(512, 512, 48.0, 48.0), 1.0, -1.0, 1.0)
+        assert gs.stages[-1].shape == (257, 257)
+        assert gs.stages[-1].sweeps <= 36 // 3
+        assert gs.stages[-1].residual < 1e-10
 
 
 class TestQuarterMatchesFullGrid:
@@ -273,6 +306,8 @@ class TestSolverGuards:
         assert exc.value.residual is not None and exc.value.residual > 0
 
     def test_single_stage_is_held_to_tol(self):
+        # with rho = 0 no stage comes before the target stage, so the first
+        # stage to run (on the half grid's quarter) is already held to tol
         g = Grid2D(64, 64, 24.0, 24.0)
         cfg = PetviashviliConfig(tol=1e-10, max_iter=3)
         with pytest.raises(ConvergenceError, match="stage rho=0 did not reach tol=1e-10 "):

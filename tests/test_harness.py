@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -237,6 +238,19 @@ class TestCli:
         cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out"))
         assert cli_main(["simulate", str(cfg)]) == 0
         assert "status=reached_t_end" in capsys.readouterr().out
+
+    def test_ground_state_meta_records_stages(self, tmp_path, capsys):
+        # 64^2 has a half grid: the Townes stage and the target stage on its
+        # quarter, then the target stage on the grid's
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out"))
+        assert cli_main(["ground-state", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "ground_meta.json").read_text())
+        stages = meta["stages"]
+        assert [s["shape"] for s in stages[-2:]] == [[17, 17], [33, 33]]
+        assert [s["rho"] for s in stages[-2:]] == [-1.0, -1.0] and stages[0]["rho"] == 0.0
+        assert all(s["sweeps"] > 0 for s in stages)
+        assert stages[-1]["residual"] == meta["residual"]
 
     def test_numerical_instability_exit_zero(self, tmp_path, capsys):
         # fixed-step IFRK4 past its stability limit: a scientific outcome,

@@ -179,7 +179,7 @@ class TestSolveLinearized:
 def full_grid_minres(ground, mode):
     """The linearized solve on the full grid's real layout, projected onto
     the even subspace: the quarter-grid solve's reference.  Returns the
-    correction pair and the relative residual."""
+    correction pair, the relative residual and the MINRES iterations."""
     g = ground.grid
     S, X = ground.S.values, ground.X.values
     beta, rho = ground.beta, ground.rho
@@ -204,12 +204,14 @@ def full_grid_minres(ground, mode):
     A = LinearOperator((n, n), matvec=apply_a, dtype=np.float64)
     P = LinearOperator((n, n), matvec=lambda u: g.irfft2(inv * g.rfft2(u.reshape(g.shape))).ravel(),
                        dtype=np.float64)
-    sol, info = minres(A, rhs.ravel(), M=P, rtol=1e-12, maxiter=20000)
+    iterations = []
+    sol, info = minres(A, rhs.ravel(), M=P, rtol=1e-12, maxiter=20000,
+                       callback=iterations.append)
     assert info == 0
     first = even_part(sol.reshape(g.shape))
     second = 2.0 * g.irfft2(e_xx * g.rfft2(S * first)) + (e_lap_f if mode == "HZ" else 0.0)
     rel_res = np.linalg.norm(apply_a(first) - rhs.ravel()) / np.linalg.norm(rhs)
-    return first, second, rel_res
+    return first, second, rel_res, len(iterations)
 
 
 class TestQuarterGridSolve:
@@ -222,9 +224,12 @@ class TestQuarterGridSolve:
     @pytest.mark.parametrize("mode", ["GY", "HZ"])
     def test_matches_full_grid_minres(self, ground, mode):
         # the Krylov space of an even right-hand side is even, so the
-        # weighted quarter-grid MINRES makes the full-grid iterates
+        # split-preconditioned quarter-grid MINRES makes the full-grid
+        # iterates; its stopping test sees them in other variables, so it
+        # may stop one iteration apart
         sol = solve_linearized(ground, self.SPEC, mode)
-        first, second, rel_res = full_grid_minres(ground, mode)
+        first, second, rel_res, iterations = full_grid_minres(ground, mode)
+        assert abs(sol.iterations - iterations) <= 1
         assert sol.residual < 1e-8 and rel_res < 1e-8
         for got, want in ((sol.first.values, first), (sol.second.values, second)):
             assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
@@ -235,6 +240,20 @@ class TestQuarterGridSolve:
         solve_linearized(ground, self.SPEC, mode)
         assert names.count("rfft2") == 1 and names.count("irfft2") == 1
         assert set(names) == {"dctn", "rfft2", "irfft2"}
+
+    @pytest.mark.parametrize("mode, fixed", [
+        # T[rhs] and u from z (2), the residual check's A(u) (4) and the second
+        # component (2); HZ's right-hand side adds Lap(S^2), E(Lap S^2) and
+        # Lap X (5)
+        ("GY", 8), ("HZ", 13),
+    ])
+    def test_minres_iteration_makes_four_transforms(self, ground, mode, fixed, monkeypatch):
+        # u from z, S u, E(S u) and T[C u]: the (1 - Lap)^{-1} preconditioner
+        # is folded into the operator and costs no transform of its own
+        names = count_transforms(monkeypatch)
+        sol = solve_linearized(ground, self.SPEC, mode)
+        assert sol.iterations > 0
+        assert names.count("dctn") == 4 * sol.iterations + fixed
 
     @pytest.mark.parametrize("name", ["S", "X"])
     def test_ground_state_not_even_raises(self, ground, name):
