@@ -12,7 +12,7 @@ arrays are shaped (nx, ny) with the x index first and stored row-major, so
 the y index varies fastest in memory.
 
 A grid owns its transforms (fft2, ifft2, rfft2, irfft2), its quadrature
-(sum, hermitian_sum) and its symbol tables, so the models and the stepping
+(sum) and its symbol tables, so the models and the stepping
 loop run unchanged on either kind:
 
 - Grid2D, the box.  A real field (the ground-state pair, the linearized
@@ -193,12 +193,6 @@ class Grid2D(_SymbolTables):
         """The real (nx, ny) array of a half-plane spectrum."""
         return _fft.irfft2(ah, s=(self.nx, self.ny), norm="ortho", workers=FFT_WORKERS)
 
-    def hermitian_sum(self, p):
-        """Full-plane sum of a real quantity even under k -> -k, from its half
-        plane: the ky = 0 and Nyquist columns appear once in the full plane and
-        every other column twice (once as its mirror), so they weigh 1 and 2."""
-        return float(2.0 * np.sum(p[:, 1:-1]) + np.sum(p[:, 0]) + np.sum(p[:, -1]))
-
 
 class EvenGrid(_SymbolTables):
     """The quarter 0 <= i <= nx/2, 0 <= j <= ny/2 of a Grid2D, for arrays
@@ -211,7 +205,7 @@ class EvenGrid(_SymbolTables):
     even spectrum is the same sum.  sum weighs each quarter sample by the
     number of full-grid samples it stands for (1 on the rows and columns
     i = 0 and i = n/2, 2 inside, per axis), so it equals the full grid's
-    sum; on this grid it is also the spectral sum, hermitian_sum.
+    sum, in physical and in spectral space.
     """
 
     def __init__(self, grid):
@@ -236,8 +230,6 @@ class EvenGrid(_SymbolTables):
 
     def sum(self, a):
         return np.sum(self.weights * a)
-
-    hermitian_sum = sum
 
     def restrict(self, a):
         """The quarter of a full (nx, ny) array even about index 0 in x and in

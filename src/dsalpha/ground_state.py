@@ -146,18 +146,18 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
         Sh = grid.rfft2(S)
         X = grid.irfft2(e_xx * grid.rfft2(S * S))
         Nh = grid.rfft2(beta * S**3 - rho * S * X)
-        defect = grid.hermitian_sum(np.abs(Nh - one_minus_lap * Sh) ** 2)
+        defect = grid.sum(np.abs(Nh - one_minus_lap * Sh) ** 2)
         return Sh, X, Nh, math.sqrt(defect * grid.cell_area)
 
     Sh, X, Nh, residual = evaluate(S)
     for sweep in range(1, cfg.max_iter + 1):
-        denom = grid.hermitian_sum((np.conj(Sh) * Nh).real)
+        denom = grid.sum((np.conj(Sh) * Nh).real)
         if denom <= 0:
             raise DegenerateLimitError(
                 "Petviashvili normalization lost positivity; "
                 "no focusing ground state at these parameters"
             )
-        M = grid.hermitian_sum(one_minus_lap * np.abs(Sh) ** 2) / denom
+        M = grid.sum(one_minus_lap * np.abs(Sh) ** 2) / denom
         # 3/2 = p/(p - 1) for the cubic N (module docstring)
         S = symmetrize_even(M**1.5 * grid.irfft2(inv * Nh))
         if float(np.max(np.abs(S))) < 1e-8 * scale0:
@@ -221,7 +221,7 @@ def solve_ground_state(
         lam=1.0,
         residual=float(residual),
         mass=float(q.sum(f) * da),
-        grad_S2_sq=float(q.hermitian_sum(q.k2 * np.abs(q.rfft2(f)) ** 2) * da),
+        grad_S2_sq=float(q.sum(q.k2 * np.abs(q.rfft2(f)) ** 2) * da),
         second_moment=float(q.sum(q.restrict(grid.r2) * f) * da),
         beta=beta,
         rho=rho,

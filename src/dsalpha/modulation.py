@@ -10,18 +10,20 @@ multiplier and the two solves become
     HZ:  A(H) = -beta S Lap(S^2) + rho S Lap(X)
                 + rho S E(Lap(S^2)),               Z = 2 E(S H) + E(Lap(S^2))
 
-Both are solved by preconditioned MINRES restricted to fields even in each
-variable; the adjoint kernel of the full block system is spanned by odd
-(translation) modes, so the symmetry restriction enforces solvability
-orthogonality without constructing antiderivative fields.  The restriction
-is structural: S is even about index 0 bit for bit (a GroundState that is
-not raises SymmetryViolationError), so the operator, the preconditioner
-and the right-hand sides run on the grid's EvenGrid quarter with DCT-I
-transforms.  The quarter's quadrature weights w carry the full grid's
-inner product, and the (1 - Lap)^{-1} preconditioner is split between the
-two sides of the operator, so MINRES runs on a symmetric system in a
-rescaled spectral unknown, makes the full-grid iterates of the
-preconditioned system, and costs 4 transforms per iteration.  The
+Both are solved by preconditioned MINRES (minres below) restricted to
+fields even in each variable; the adjoint kernel of the full block system
+is spanned by odd (translation) modes, so the symmetry restriction enforces
+solvability orthogonality without constructing antiderivative fields.  The
+restriction is structural: S is even about index 0 bit for bit (a
+GroundState that is not raises SymmetryViolationError), so the operator,
+the preconditioner and the right-hand sides run on the grid's EvenGrid
+quarter with DCT-I transforms.  MINRES takes its inner products as the quarter's weighted sum,
+which is the full grid's, and the (1 - Lap)^{-1} preconditioner is split
+between the two sides of the operator, so MINRES runs on a system
+symmetric in that inner product in a rescaled spectral unknown, makes the
+full-grid iterates of the preconditioned system, and costs 4 transforms per
+iteration.  Its reductions are numpy's pairwise sums on one thread, so the
+corrections do not depend on the BLAS or FFT thread counts.  The
 corrections are expanded to full-grid Fields, and the odd-kernel overlap
 is checked on the expanded solution with the grid's real transforms.
 
@@ -31,7 +33,8 @@ modulation inequality,
     L_tt = (C2 alpha^2 / C1) L^{-5} - (C3 / C1) L^{-3},
 
 which conserves Q = L_t^2 + (C2 alpha^2 / (2 C1)) L^{-4} - (C3/C1) L^{-2}
-and therefore keeps L away from zero for alpha > 0.
+and therefore keeps L away from zero for alpha > 0.  Its integrator,
+solve_ivp, is imported on first use: the package imports only scipy.fft.
 """
 
 import math
@@ -39,9 +42,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import (
     ConvergenceError,
@@ -172,6 +172,50 @@ def _check_even(ground):
         raise SymmetryViolationError("ground-state X is not even about index 0")
 
 
+def minres(A, b, rtol=1e-12, maxiter=1000, callback=None, inner=lambda u, v: np.sum(u * v)):
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for A x = b
+    from x = 0, with A a callable applying an operator symmetric in the inner
+    product inner(u, v).  Stops, with info 0, where the recurrences' estimates
+    give ||r|| <= rtol ||A|| ||x|| or ||A r|| <= rtol ||A|| ||r||, x is at
+    roundoff or A's condition estimate exceeds 0.1/eps; at maxiter iterations
+    it returns info = maxiter.  callback(x) follows each iteration; x is
+    updated in place.  Returns (x, info)."""
+    eps = np.finfo(float).eps
+    x, w, w2 = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    beta1 = beta = phibar = math.sqrt(inner(b, b))
+    if beta1 == 0:
+        return x, 0
+    r1 = r2 = y = b
+    oldb = dbar = epsln = tnorm2 = gmax = sn = 0.0
+    cs, gmin = -1.0, math.inf
+    for _ in range(maxiter):
+        v = y / beta
+        y = A(v)
+        if oldb:
+            y = y - (beta / oldb) * r1
+        alfa = inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, math.sqrt(inner(y, y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # the plane rotation that eliminates beta from the tridiagonal's column
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        root, gamma = math.hypot(gbar, dbar), max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w, w2 = (v - oldeps * w2 - delta * w) / gamma, w
+        x += phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm, xnorm = math.sqrt(tnorm2), math.sqrt(inner(x, x))
+        if callback is not None:
+            callback(x)
+        if (phibar <= rtol * anorm * xnorm or root <= rtol * anorm
+                or anorm * xnorm * eps >= beta1 or gmax >= 0.1 / eps * gmin):
+            return x, 0
+    return x, maxiter
+
+
 def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> LinearizedSolution:
     """Solve the GY or HZ correction system on the even quarter grid by
     MINRES with the (1 - Lap)^{-1} preconditioner split between the sides of
@@ -186,8 +230,6 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     beta, rho, nu = ground.beta, ground.rho, ground.nu
     e_xx = e.real_symbol("e", nu, "xx")
     inv = e.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
-    w = e.weights
-
     f = S * S
 
     if mode == "GY":
@@ -210,30 +252,22 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         return e.irfft2(-e.k2 * e.rfft2(u)) - u + apply_c(u)
 
     # Split preconditioning.  With T the quarter's DCT-I (T = T^{-1}, unitary
-    # in the w-weighted inner product, which is the full grid's Euclidean one)
-    # and b = inv, u = T[sqrt(b) z / sqrt(w)] turns A u = rhs into
-    # K z = sqrt(w b) T[rhs] with K z = -z + sqrt(w b) T[C u], C = apply_c.
-    # K is symmetric, and MINRES on it makes the iterates of w A preconditioned
-    # by B(./w).  B cancels A's -(1 - Lap) into -z, so an iteration makes 4
-    # transforms: u from z, the two of C's nonlocal term, and T[C u].
-    left, right = np.sqrt(w * inv), np.sqrt(inv / w)
+    # in the w-weighted inner product e.sum(a * b), which is the full grid's
+    # Euclidean one) and b = inv, u = T[sqrt(b) z] turns A u = rhs into
+    # K z = sqrt(b) T[rhs] with K z = -z + sqrt(b) T[C u], C = apply_c.  K is
+    # symmetric in that inner product, and MINRES on it makes the iterates of
+    # A preconditioned by B.  B cancels A's -(1 - Lap) into -z, so an
+    # iteration makes 4 transforms: u from z, the two of C's nonlocal term,
+    # and T[C u].
+    root_b = np.sqrt(inv)
 
     def to_u(z):
-        return e.irfft2(right * z.reshape(e.shape))
+        return e.irfft2(root_b * z)
 
-    def matvec(z):
-        return (left * e.rfft2(apply_c(to_u(z)))).ravel() - z
-
-    iterations = 0
-
-    def count(zk):
-        nonlocal iterations
-        iterations += 1
-
-    n = w.size
-    K = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    sol, info = minres(K, (left * e.rfft2(rhs)).ravel(), rtol=1e-12,
-                       maxiter=40 * int(math.isqrt(g.nx * g.ny)) + 20000, callback=count)
+    steps = []
+    sol, info = minres(lambda z: root_b * e.rfft2(apply_c(to_u(z))) - z, root_b * e.rfft2(rhs),
+                       rtol=1e-12, maxiter=40 * int(math.isqrt(g.nx * g.ny)) + 20000,
+                       callback=steps.append, inner=lambda u, v: e.sum(u * v))
     if info < 0:
         raise ConvergenceError(f"linearized {mode} MINRES broke down (info={info})")
     first_q = to_u(sol)
@@ -269,7 +303,7 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
         residual=float(rel_res),
         inner_with_S=float(e.sum(S * first_q) * g.cell_area),
         info=int(info),
-        iterations=iterations,
+        iterations=len(steps),
     )
 
 
@@ -304,6 +338,8 @@ def integrate_reduced(
     """
     if L0 <= 0 or t_end <= 0:
         raise ParameterError(f"L0 and t_end must be positive, got {L0}, {t_end}")
+    from scipy.integrate import solve_ivp
+
     c1, c2, c3 = constants.C1, constants.C2, constants.C3
     k5 = c2 * alpha**2 / c1
     k3 = c3 / c1
@@ -382,29 +418,39 @@ class CollapseFit:
     fit_rms: float = 0.0
 
 
+def _golden_section(f, a, b, xatol):
+    """A local minimizer of f on [a, b] to within xatol, by golden-section
+    search (Kiefer, Proc. AMS 4, 1953): each step keeps the sub-bracket
+    around the lower of its two interior points and reuses that point."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return c if fc <= fd else d
+
+
 def _power_fit(t, L):
     """Fit log L = p log(t* - t) + c with t* a free parameter."""
-    t_last = t[-1]
+    t_last, y = t[-1], np.log(L)
     span = t_last - t[0]
 
-    def sse(dt_star):
-        x = np.log(t_last + dt_star - t)
-        y = np.log(L)
-        A = np.vstack([x, np.ones_like(x)]).T
-        coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-        if res.size:
-            return float(res[0])
-        return float(np.sum((A @ coef - y) ** 2))
+    def line(dt_star):
+        """The least-squares (p, c) at t* = t_last + dt_star, and its rms misfit."""
+        A = np.vstack([np.log(t_last + dt_star - t), np.ones_like(t)]).T
+        coef = np.linalg.lstsq(A, y, rcond=None)[0]
+        return coef, float(np.sqrt(np.mean((A @ coef - y) ** 2)))
 
-    opt = minimize_scalar(
-        sse, bounds=(1e-14 * max(span, 1.0), 2.0 * span), method="bounded",
-        options={"xatol": 1e-15 * max(span, 1.0)},
-    )
-    dt_star = float(opt.x)
-    x = np.log(t_last + dt_star - t)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, np.log(L), rcond=None)
-    rms = float(np.sqrt(np.mean((A @ coef - np.log(L)) ** 2)))
+    scale = max(span, 1.0)
+    dt_star = _golden_section(lambda d: line(d)[1], 1e-14 * scale, 2.0 * span, 1e-15 * scale)
+    coef, rms = line(dt_star)
     return t_last + dt_star, float(coef[0]), rms
 
 

@@ -1,9 +1,9 @@
 import os
 
 # transform threading must be pinned before the package reads it; results
-# stay deterministic for a fixed worker count.  On a 2-vCPU host two workers
-# were not faster than one: the median 2-worker/1-worker wall-time ratio of
-# the benchmark's dichotomy run was 1.10 (bench/NOTES.md)
+# do not depend on the worker count (tests/test_processes.py).  On a 2-vCPU
+# host two workers were not faster than one: the median 2-worker/1-worker
+# wall-time ratio of the benchmark's dichotomy run was 1.10 (bench/NOTES.md)
 os.environ.setdefault("DSALPHA_FFT_WORKERS", "2")
 
 import numpy as np

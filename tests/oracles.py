@@ -67,6 +67,13 @@ def even_part(a):
     return a
 
 
+def half_plane_sum(p):
+    """Full-plane sum of a real quantity even under k -> -k, from its ky >= 0
+    half plane (rfft2's layout): the ky = 0 and Nyquist columns appear once
+    in the full plane and every other column twice (once as its mirror)."""
+    return float(2.0 * np.sum(p[:, 1:-1]) + np.sum(p[:, 0]) + np.sum(p[:, -1]))
+
+
 def prolong(g, a):
     """Band-limited interpolation onto g of a real array on g.half, by numpy's
     full-plane FFT: the modes |m| < n/4 are kept and the half grid's Nyquist

@@ -18,7 +18,7 @@ from dsalpha import (
 )
 import dsalpha.ground_state as gs_mod
 from conftest import count_calls, count_transforms
-from oracles import cubic_profile_critical_mass, even_part, prolong
+from oracles import cubic_profile_critical_mass, even_part, half_plane_sum, prolong
 
 # frozen from the shooting oracle (see oracles.py); the oracle is also run
 # live in test_cubic_limit_matches_shooting_oracle
@@ -150,7 +150,8 @@ class TestHalfGridStages:
 
 def full_grid_reference(monkeypatch, g, beta, rho, nu, cfg):
     """The continuation as it ran on the full grid's real layout: every sweep
-    projected onto the even subspace by even_part; where g.half exists, the
+    projected onto the even subspace by even_part, and the sweep's spectral
+    sums taken over the full plane by half_plane_sum; where g.half exists, the
     loose stages and the target stage on g.half, then the interpolation onto
     g by numpy's full-plane FFT and the target stage again on g.  Returns
     the last stage's S and its mass."""
@@ -160,6 +161,8 @@ def full_grid_reference(monkeypatch, g, beta, rho, nu, cfg):
     stage = g if g.half is None else g.half
     with monkeypatch.context() as m:
         m.setattr(gs_mod, "symmetrize_even", even_part)
+        for grid in {g, stage}:
+            m.setattr(grid, "sum", half_plane_sum)
         S = 2.2 * np.exp(-stage.r2 / 2.0)
         for rho_k in earlier:
             S, _, _, _ = gs_mod._petviashvili(S, stage, beta, rho_k, nu, loose)

@@ -214,6 +214,46 @@ def full_grid_minres(ground, mode):
     return first, second, rel_res, len(iterations)
 
 
+def symmetric_indefinite(rng, n=40):
+    """A dense symmetric matrix with eigenvalues of both signs, and a b."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = np.concatenate([-np.geomspace(0.5, 5.0, n // 2), np.geomspace(0.2, 3.0, n - n // 2)])
+    return (q * eig) @ q.T, rng.standard_normal(n)
+
+
+class TestMinres:
+    def test_matches_dense_solve(self, rng):
+        M, b = symmetric_indefinite(rng)
+        steps = []
+        x, info = modulation.minres(lambda v: M @ v, b, rtol=1e-12, maxiter=200,
+                                    callback=steps.append)
+        want = np.linalg.solve(M, b)
+        # past n = 40 iterations: the Lanczos vectors lose orthogonality
+        assert info == 0 and 0 < len(steps) < 200
+        assert np.max(np.abs(x - want)) < 1e-9 * np.max(np.abs(want))
+
+    def test_weighted_inner_product(self, rng):
+        # W^{-1} M is symmetric in <a, c> = sum(w a c), not in the plain sum
+        M, b = symmetric_indefinite(rng)
+        w = rng.uniform(0.5, 2.0, b.size)
+        x, info = modulation.minres(lambda v: (M @ v) / w, b / w, rtol=1e-12, maxiter=200,
+                                    inner=lambda a, c: np.sum(w * a * c))
+        want = np.linalg.solve(M, b)
+        assert info == 0
+        assert np.max(np.abs(x - want)) < 1e-9 * np.max(np.abs(want))
+
+    def test_iteration_limit_sets_info(self, rng):
+        M, b = symmetric_indefinite(rng)
+        steps = []
+        x, info = modulation.minres(lambda v: M @ v, b, maxiter=5, callback=steps.append)
+        assert info == 5 and len(steps) == 5
+        assert np.linalg.norm(M @ x - b) > 1e-6 * np.linalg.norm(b)
+
+    def test_zero_right_hand_side(self):
+        x, info = modulation.minres(lambda v: 2.0 * v, np.zeros(7))
+        assert info == 0 and not x.any()
+
+
 class TestQuarterGridSolve:
     SPEC = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1)
 
@@ -346,7 +386,39 @@ def _records_from_law(ts, t_star, power):
     ]
 
 
+def bounded_power_fit(t, L):
+    """t* and p of log L = p log(t* - t) + c by scipy's bounded scalar
+    minimizer (Brent) over the same bracket and xatol as collapse_fit."""
+    from scipy.optimize import minimize_scalar
+
+    span, scale = t[-1] - t[0], max(t[-1] - t[0], 1.0)
+
+    def line(dt_star):
+        A = np.vstack([np.log(t[-1] + dt_star - t), np.ones_like(t)]).T
+        coef, res, _, _ = np.linalg.lstsq(A, np.log(L), rcond=None)
+        return coef[0], float(res[0])
+
+    opt = minimize_scalar(lambda d: line(d)[1], bounds=(1e-14 * scale, 2.0 * span),
+                          method="bounded", options={"xatol": 1e-15 * scale})
+    return t[-1] + opt.x, line(opt.x)[0]
+
+
 class TestCollapseFit:
+    @pytest.mark.parametrize("t_star, power, noise", [
+        (1.0, 0.5, 0.0), (2.3, 0.62, 0.0), (1.0, 0.5, 1e-4), (3.1, 0.45, 3e-4),
+    ])
+    def test_golden_section_matches_bounded_brent(self, rng, t_star, power, noise):
+        ts = np.linspace(0.0, 0.999 * t_star, 400)
+        recs = _records_from_law(ts, t_star, power)
+        for r in recs:
+            r.L_est *= 1.0 + noise * rng.standard_normal()
+        fit = collapse_fit(recs)
+        # the fit's window is the strictly decreasing tail, as long as tau
+        window = slice(len(recs) - len(fit.tau), None)
+        want_t, want_p = bounded_power_fit(ts[window], np.array([r.L_est for r in recs])[window])
+        assert fit.t_star == pytest.approx(want_t, rel=1e-6)
+        assert fit.exponent == pytest.approx(want_p, rel=1e-6)
+
     def test_recovers_exact_power_law(self):
         ts = np.linspace(0.0, 0.999, 400)
         fit = collapse_fit(_records_from_law(ts, 1.0, 0.5))
