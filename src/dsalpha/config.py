@@ -17,7 +17,7 @@ ground.continuation_steps); a key left out keeps that field's default.
     grid.nx  grid.ny        even integers >= 8
     grid.lx  grid.ly        positive reals
 
-    step.dt                 initial/fixed step
+    step.dt                 fixed step (adaptive: only the t=0 record's dt)
     step.dt_min step.dt_max step bounds
     step.adaptive           true | false
     step.cfl_const          phase-advance bound
@@ -50,10 +50,10 @@ ground.continuation_steps); a key left out keeps that field's default.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, require_finite
 from .grid import check_grid
 from .ground_state import PetviashviliConfig
 from .models import ModelKind, ModelSpec
@@ -152,6 +152,7 @@ class RunConfig:
     def __post_init__(self):
         """The checks of every run setting outside step.* and ground.*,
         whether the config was loaded or built in code."""
+        require_finite(self, ConfigError)
         if self.ic_kind not in ("gaussian", "file"):
             raise ConfigError(f"ic.kind must be gaussian or file, got {self.ic_kind!r}")
         if self.ic_width <= 0:
@@ -166,6 +167,8 @@ class RunConfig:
         if self.reduced_t_end is not None and self.reduced_t_end <= 0:
             raise ConfigError(f"reduced.t_end must be positive, got {self.reduced_t_end}")
         _build("grid", check_grid, self.nx, self.ny, self.lx, self.ly)
+        if self.ground_grid is not None:
+            _build("ground", check_grid, *self.ground_grid)
         _build("model", ModelSpec, self.kind, self.beta, self.rho, self.nu, self.alpha)
         _build("reduced", ReducedState.initial, self.reduced_l0, self.reduced_lt0, self.alpha,
                b0=self.reduced_b0)
@@ -239,6 +242,5 @@ def load_config(path) -> RunConfig:
     )
     if given[check_grid]:
         run_grid = {"nx": cfg.nx, "ny": cfg.ny, "lx": cfg.lx, "ly": cfg.ly}
-        cfg.ground_grid = tuple({**run_grid, **given[check_grid]}.values())
-        _build("ground", check_grid, *cfg.ground_grid)
+        cfg = replace(cfg, ground_grid=tuple({**run_grid, **given[check_grid]}.values()))
     return cfg

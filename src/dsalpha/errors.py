@@ -1,4 +1,6 @@
-"""Exception hierarchy for the dsalpha package."""
+"""Exception hierarchy for the dsalpha package, and the settings' finite check."""
+
+import math
 
 
 class DsalphaError(Exception):
@@ -29,7 +31,8 @@ class DegenerateLimitError(DsalphaError):
 
 
 class SymmetryViolationError(DsalphaError):
-    """A symmetric-subspace solve picked up an odd (kernel) component."""
+    """An input of a symmetric-subspace solve (a ground state's S or X) is
+    not even about index 0; its outputs are even by construction."""
 
 
 class InsufficientDataError(DsalphaError):
@@ -42,3 +45,10 @@ class SnapshotFormatError(DsalphaError):
 
 class ConfigError(DsalphaError):
     """Malformed or inconsistent run configuration."""
+
+
+def require_finite(obj, error=ParameterError):
+    """Raise error unless every float field of the dataclass obj is finite."""
+    for name, value in vars(obj).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")

@@ -46,7 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateLimitError, GridMismatchError, ParameterError
+from .errors import (ConvergenceError, DegenerateLimitError, GridMismatchError, ParameterError,
+                     require_finite)
 from .fields import Field
 from .grid import Grid2D
 from .spectral import fft2, ifft2, l2_norm_values
@@ -59,6 +60,7 @@ class PetviashviliConfig:
     continuation_steps: int = 8
 
     def __post_init__(self):
+        require_finite(self)
         if self.tol <= 0 or self.max_iter < 1 or self.continuation_steps < 1:
             raise ParameterError("invalid Petviashvili configuration")
 

@@ -222,8 +222,8 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
     """
     if len(alphas) < 2:
         raise ConfigError("sweep needs at least 2 alpha values")
-    if any(a <= 0 for a in alphas):
-        raise ConfigError("sweep alphas must all be positive")
+    if not all(0 < a < np.inf for a in alphas):
+        raise ConfigError(f"sweep alphas must all be positive and finite, got {alphas}")
     require_regularized(cfg, "sweep")
     prepare_output_dir(cfg, "for a sweep")
 

@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 from .fields import Field
 from .grid import Grid2D
 from .spectral import dealias_spectrum, grad_norm_spectrum
@@ -71,6 +71,7 @@ class ModelSpec:
     alpha: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.nu <= 0:
             raise ParameterError(f"nu must be positive, got {self.nu}")
         if self.alpha < 0:

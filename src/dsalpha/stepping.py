@@ -11,20 +11,15 @@ either stepper.
 
 The loop fuses the trailing half phase of one step with the leading half
 phase of the next (they see the same |v| and hence the same potential),
-paying the full split cost only at record and snapshot boundaries.  It
-carries what it already knows of the state into the next step:
-
-- the spectrum phase * fft2(v) that the linear substep computed: the next
-  potential starts from it instead of transforming v again;
-- the potential of a record: the record transforms v once for both the
-  gradient norm and H, and the P it computes for H is exactly the one the
-  next step's leading half phase needs.
-
-Each is dropped as soon as v changes without it: any step drops the
-record's P, a closing half phase drops the spectrum.  A fused step thus
-makes 3 complex and 2 real transforms (ifft2 of the dealiased spectrum,
-rfft2/irfft2 of the potential, fft2/ifft2 of the linear substep), and a
-record makes 2 complex and 2 real ones.
+paying the full split cost only at record and snapshot boundaries.  Next
+to v it carries one optional quantity, the potential P of v, which a Strang
+step computes at once from the spectrum phase * fft2(v) of its linear
+substep, and a record from the one fft2 of v it makes for both the gradient
+norm and H.  P is dropped as soon as v changes without it (a closing half
+phase, an IFRK4 step), and a Strang step transforms v again only then.  A
+fused step thus makes 3 complex and 2 real transforms (ifft2 of the
+dealiased spectrum, rfft2/irfft2 of the potential, fft2/ifft2 of the linear
+substep), and a record makes 2 complex and 2 real ones.
 
 Strang steps of a state even about a grid point run on the EvenGrid
 quarter of its grid, (nx/2+1) x (ny/2+1) samples, where each of the
@@ -54,7 +49,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 from .fields import Field
 from .models import ModelSpec, _hamiltonian_and_potential, _intensity_and_potential, mass
 from .spectral import grad_norm_spectrum
@@ -79,7 +74,8 @@ class StepControl:
     """Step-size policy and stopping thresholds.
 
     When adaptive, dt = clip(cfl_const / max|v|^2, dt_min, dt_max), which
-    keeps the nonlinear phase advance per step bounded near focusing.
+    keeps the nonlinear phase advance per step bounded near focusing, and
+    no step is made with dt: it is only the dt column of the t = 0 record.
     amp_max is the absolute blow-up amplitude threshold; None means
     1e6 times the initial max|v|.  stepper is "strang" or "ifrk4"; both
     share the step-size policy, records, snapshots and stopping rules of
@@ -96,12 +92,10 @@ class StepControl:
     stepper: str = "strang"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.dt_min <= 0 or self.dt_max <= 0:
-            raise ParameterError("time steps must be positive")
-        if not (self.dt_min <= self.dt <= self.dt_max):
+        require_finite(self)
+        if not 0 < self.dt_min <= self.dt <= self.dt_max:
             raise ParameterError(
-                f"need dt_min <= dt <= dt_max, got {self.dt_min}, {self.dt}, {self.dt_max}"
-            )
+                f"need 0 < dt_min <= dt <= dt_max, got {self.dt_min}, {self.dt}, {self.dt_max}")
         if self.t_end < 0:
             raise ParameterError("t_end must be nonnegative")
         if self.cfl_const <= 0:
@@ -245,12 +239,10 @@ def integrate(
     if grad_ref is None:
         grad_ref = 1.0
 
-    # besides values, the loop may know their potential P (left by a record)
-    # and their spectrum (left by the linear substep); each is None from the
-    # moment values change without it
+    # besides values, the loop may know their potential P (left by a Strang
+    # step or a record); it is None from the moment values change without it
     record, potential = _record(g, spec, t, control.dt, values, grad_ref)
     records: List[DiagnosticsRecord] = [record]
-    spectrum = None
     max_drift = 0.0
     status = RunStatus.REACHED_T_END
     steps = 0
@@ -272,18 +264,12 @@ def integrate(
             phase_cache[dt] = ph
         return ph
 
-    def current_potential():
-        if potential is not None:
-            return potential
-        vh = spectrum if spectrum is not None else g.fft2(values)
-        return _intensity_and_potential(vh, g, spec)[1]
-
     def close_half():
-        nonlocal values, pending_half, spectrum
+        nonlocal values, pending_half, potential
         if pending_half != 0.0:
-            values *= _phase(pending_half * current_potential())
+            values *= _phase(pending_half * potential)
             pending_half = 0.0
-            spectrum = None
+            potential = None
 
     def emit_record(t, dt):
         nonlocal potential
@@ -312,17 +298,20 @@ def integrate(
             dt = control.t_end - t
 
         if control.stepper == "strang":
+            if potential is None:
+                potential = _intensity_and_potential(g.fft2(values), g, spec)[1]
             # leading half phase (fused with whatever half is pending)
-            values *= _phase((pending_half + 0.5 * dt) * current_potential())
+            values *= _phase((pending_half + 0.5 * dt) * potential)
             # in place: one more 384^2 temporary per step made a dichotomy
             # run fault 0.55 M times instead of 9 k (getrusage)
             spectrum = g.fft2(values)
             spectrum *= linear_phase(dt)
             values = g.ifft2(spectrum)
+            potential = _intensity_and_potential(spectrum, g, spec)[1]
             pending_half = 0.5 * dt
         else:
             values = ifrk4_step(Field(g, values), spec, dt).values
-        potential = None
+            potential = None
 
         t = control.t_end if last else t + dt
         steps += 1
@@ -343,8 +332,6 @@ def integrate(
         elif amp2 > amp_max**2:
             status = RunStatus.BLOW_UP_DETECTED
         if status is not RunStatus.REACHED_T_END:
-            close_half()
-            emit_record(t, dt)
             break
 
         emit = (steps % record_every == 0) or last

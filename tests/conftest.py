@@ -1,9 +1,11 @@
 import os
 
 # transform threading must be pinned before the package reads it; results
-# do not depend on the worker count (tests/test_processes.py).  On a 2-vCPU
-# host two workers were not faster than one: the median 2-worker/1-worker
-# wall-time ratio of the benchmark's dichotomy run was 1.10 (bench/NOTES.md)
+# do not depend on the worker count (tests/test_processes.py).  Two workers
+# are faster on a 2-vCPU host: the 1280^2 dichotomy_pair fixture, which is
+# most of the suite, took 72.9-79.3 s with 2 and 92.7-99.6 s with 1 (3
+# interleaved runs each).  The 1.10 2-worker/1-worker ratio in bench/NOTES.md
+# was measured on the full grid, before stepping moved to DCT-I quarters.
 os.environ.setdefault("DSALPHA_FFT_WORKERS", "2")
 
 import numpy as np

@@ -188,6 +188,10 @@ class TestSweep:
             sweep_alpha(cfg, [0.1])
         with pytest.raises(ConfigError):
             sweep_alpha(cfg, [0.1, -0.2])
+        # a RunConfig built in code can hold any float list in sweep_alphas
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                sweep_alpha(cfg, [0.1, bad])
 
 
 CONFIG_TEMPLATE = """

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, SnapshotFormatError, complex_field
+from dsalpha import (ConfigError, Grid2D, ModelKind, ModelSpec, ParameterError,
+                     SnapshotFormatError, complex_field)
 from dsalpha.cli import main as cli_main
 from dsalpha.config import _KEYS, RunConfig, load_config, parse_kv_file
 from dsalpha.ground_state import PetviashviliConfig
@@ -247,6 +248,34 @@ class TestConfig:
             good.write_text(CONFIG_TEXT)
             with pytest.raises(ConfigError, match=line.split(".")[0]):
                 replace(load_config(good), **{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("owner, name", [
+        (StepControl, "dt"), (StepControl, "dt_min"), (StepControl, "dt_max"),
+        (StepControl, "cfl_const"), (StepControl, "t_end"), (StepControl, "amp_max"),
+        (PetviashviliConfig, "tol"),
+        (ModelSpec, "beta"), (ModelSpec, "rho"), (ModelSpec, "nu"), (ModelSpec, "alpha"),
+        (RunConfig, "ic_amplitude"), (RunConfig, "ic_width"), (RunConfig, "ic_center_x"),
+        (RunConfig, "ic_center_y"), (RunConfig, "ic_chirp"), (RunConfig, "reduced_l0"),
+        (RunConfig, "reduced_lt0"), (RunConfig, "reduced_b0"), (RunConfig, "reduced_t_end"),
+    ])
+    def test_non_finite_rejected_in_code(self, owner, name, value):
+        # an object built in code is checked as a loaded one is: nan and
+        # inf are errors in every number field, not only in the file
+        model = (ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1)
+        build = {StepControl: StepControl, PetviashviliConfig: PetviashviliConfig,
+                 ModelSpec: lambda **kw: replace(ModelSpec(*model), **kw),
+                 RunConfig: lambda **kw: RunConfig(*model, **kw)}[owner]
+        error = ConfigError if owner is RunConfig else ParameterError
+        for sign in (1.0, -1.0):
+            with pytest.raises(error, match=f"{name} must be finite"):
+                build(**{name: sign * value})
+
+    def test_ground_grid_checked_in_code(self):
+        with pytest.raises(ConfigError, match="ground: grid sizes"):
+            RunConfig(ModelKind.DSE, 1.0, -1.0, 1.0, ground_grid=(7, 7, 1.0, 1.0))
+        with pytest.raises(ConfigError, match="ground: box sides"):
+            RunConfig(ModelKind.DSE, 1.0, -1.0, 1.0, ground_grid=(8, 8, np.nan, 1.0))
 
     def test_grid_numbers_checked_without_building_a_grid(self, tmp_path, monkeypatch):
         built = count_calls(monkeypatch, Grid2D, "__init__")

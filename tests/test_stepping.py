@@ -277,8 +277,9 @@ def off_centre_gaussian(g):
 
 
 class TestLeanStep:
-    """The loop carries the linear substep's spectrum and a record's
-    potential into the next step; neither may be used once the state moved."""
+    """The loop carries the potential of its state into the next step: a
+    Strang step computes it from its linear substep's spectrum, a record
+    from its own transform.  It may not be used once the state moved."""
 
     DT, N = 2.0**-7, 15  # binary dt: t = step*dt exactly, no truncated last step
 
