@@ -88,20 +88,15 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _finite(raw: str) -> float:
-    """The float cast of every config number: nan and inf are errors."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
 def parse_alphas(raw: str, source: str) -> List[float]:
     """A comma-separated list of finite alphas (sweep.alphas, --alphas)."""
     try:
-        return [_finite(a) for a in raw.split(",") if a.strip()]
+        alphas = [float(a) for a in raw.split(",") if a.strip()]
+        if all(map(math.isfinite, alphas)):
+            return alphas
     except ValueError:
-        raise ConfigError(f"{source}: cannot parse {raw!r} as finite numbers") from None
+        pass
+    raise ConfigError(f"{source}: cannot parse {raw!r} as finite numbers")
 
 
 def _build(section, factory, *args, **kwargs):
@@ -151,7 +146,12 @@ class RunConfig:
 
     def __post_init__(self):
         """The checks of every run setting outside step.* and ground.*,
-        whether the config was loaded or built in code."""
+        whether the config was loaded or built in code; grid, ground and
+        model first, so that a nan or inf there is reported under its section."""
+        _build("grid", check_grid, self.nx, self.ny, self.lx, self.ly)
+        if self.ground_grid is not None:
+            _build("ground", check_grid, *self.ground_grid)
+        _build("model", ModelSpec, self.kind, self.beta, self.rho, self.nu, self.alpha)
         require_finite(self, ConfigError)
         if self.ic_kind not in ("gaussian", "file"):
             raise ConfigError(f"ic.kind must be gaussian or file, got {self.ic_kind!r}")
@@ -166,10 +166,6 @@ class RunConfig:
             raise ConfigError("output cadences must be positive (snapshots: 0 disables)")
         if self.reduced_t_end is not None and self.reduced_t_end <= 0:
             raise ConfigError(f"reduced.t_end must be positive, got {self.reduced_t_end}")
-        _build("grid", check_grid, self.nx, self.ny, self.lx, self.ly)
-        if self.ground_grid is not None:
-            _build("ground", check_grid, *self.ground_grid)
-        _build("model", ModelSpec, self.kind, self.beta, self.rho, self.nu, self.alpha)
         _build("reduced", ReducedState.initial, self.reduced_l0, self.reduced_lt0, self.alpha,
                b0=self.reduced_b0)
 
@@ -178,43 +174,43 @@ class RunConfig:
 # ground.* grid keys are check_grid's arguments, defaulting to the run grid.
 _KEYS = {
     "model.kind": (RunConfig, "kind", lambda raw: ModelKind(raw.lower())),
-    "model.beta": (RunConfig, "beta", _finite),
-    "model.rho": (RunConfig, "rho", _finite),
-    "model.nu": (RunConfig, "nu", _finite),
-    "model.alpha": (RunConfig, "alpha", _finite),
+    "model.beta": (RunConfig, "beta", float),
+    "model.rho": (RunConfig, "rho", float),
+    "model.nu": (RunConfig, "nu", float),
+    "model.alpha": (RunConfig, "alpha", float),
     "grid.nx": (RunConfig, "nx", int),
     "grid.ny": (RunConfig, "ny", int),
-    "grid.lx": (RunConfig, "lx", _finite),
-    "grid.ly": (RunConfig, "ly", _finite),
-    "step.dt": (StepControl, "dt", _finite),
-    "step.dt_min": (StepControl, "dt_min", _finite),
-    "step.dt_max": (StepControl, "dt_max", _finite),
+    "grid.lx": (RunConfig, "lx", float),
+    "grid.ly": (RunConfig, "ly", float),
+    "step.dt": (StepControl, "dt", float),
+    "step.dt_min": (StepControl, "dt_min", float),
+    "step.dt_max": (StepControl, "dt_max", float),
     "step.adaptive": (StepControl, "adaptive", _bool),
-    "step.cfl_const": (StepControl, "cfl_const", _finite),
-    "step.t_end": (StepControl, "t_end", _finite),
-    "step.amp_max": (StepControl, "amp_max", _finite),
+    "step.cfl_const": (StepControl, "cfl_const", float),
+    "step.t_end": (StepControl, "t_end", float),
+    "step.amp_max": (StepControl, "amp_max", float),
     "step.stepper": (StepControl, "stepper", str.lower),
     "ic.kind": (RunConfig, "ic_kind", str.lower),
-    "ic.amplitude": (RunConfig, "ic_amplitude", _finite),
-    "ic.width": (RunConfig, "ic_width", _finite),
-    "ic.center_x": (RunConfig, "ic_center_x", _finite),
-    "ic.center_y": (RunConfig, "ic_center_y", _finite),
-    "ic.chirp": (RunConfig, "ic_chirp", _finite),
+    "ic.amplitude": (RunConfig, "ic_amplitude", float),
+    "ic.width": (RunConfig, "ic_width", float),
+    "ic.center_x": (RunConfig, "ic_center_x", float),
+    "ic.center_y": (RunConfig, "ic_center_y", float),
+    "ic.chirp": (RunConfig, "ic_chirp", float),
     "ic.path": (RunConfig, "ic_path", str),
     "output.dir": (RunConfig, "output_dir", str),
     "output.record_every": (RunConfig, "record_every", int),
     "output.snapshot_every": (RunConfig, "snapshot_every", int),
-    "ground.tol": (PetviashviliConfig, "tol", _finite),
+    "ground.tol": (PetviashviliConfig, "tol", float),
     "ground.max_iter": (PetviashviliConfig, "max_iter", int),
     "ground.continuation_steps": (PetviashviliConfig, "continuation_steps", int),
     "ground.nx": (check_grid, "nx", int),
     "ground.ny": (check_grid, "ny", int),
-    "ground.lx": (check_grid, "lx", _finite),
-    "ground.ly": (check_grid, "ly", _finite),
-    "reduced.l0": (RunConfig, "reduced_l0", _finite),
-    "reduced.lt0": (RunConfig, "reduced_lt0", _finite),
-    "reduced.b0": (RunConfig, "reduced_b0", _finite),
-    "reduced.t_end": (RunConfig, "reduced_t_end", _finite),
+    "ground.lx": (check_grid, "lx", float),
+    "ground.ly": (check_grid, "ly", float),
+    "reduced.l0": (RunConfig, "reduced_l0", float),
+    "reduced.lt0": (RunConfig, "reduced_lt0", float),
+    "reduced.b0": (RunConfig, "reduced_b0", float),
+    "reduced.t_end": (RunConfig, "reduced_t_end", float),
     "sweep.alphas": (RunConfig, "sweep_alphas", lambda raw: parse_alphas(raw, "sweep.alphas")),
 }
 

@@ -49,6 +49,11 @@ def check_grid(nx, ny, lx, ly):
         raise ParameterError(f"box sides must be positive and finite, got {lx}x{ly}")
 
 
+def is_even(a):
+    """Whether a is its own mirror image about index 0 in x and in y, bit for bit."""
+    return np.array_equal(a[1:], a[:0:-1]) and np.array_equal(a[:, 1:], a[:, :0:-1])
+
+
 class _SymbolTables:
     """The symbol formulas over a grid's wavenumber axes kx (rows) and ky
     (columns), and their cache.  Each formula takes the number m of ky

@@ -182,8 +182,6 @@ def solve_ground_state(
     cfg: PetviashviliConfig = None,
 ) -> GroundState:
     """Continuation in rho from the Townes profile to the requested rho."""
-    if nu <= 0:
-        raise ParameterError(f"nu must be positive, got {nu}")
     if beta <= 0:
         warnings.warn(
             f"beta={beta} <= 0: the focusing fixed-point iteration may not converge",

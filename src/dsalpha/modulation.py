@@ -51,6 +51,7 @@ from .errors import (
     SymmetryViolationError,
 )
 from .fields import Field
+from .grid import is_even
 from .ground_state import GroundState
 from .models import ModelKind, ModelSpec
 from .spectral import l2_norm_values
@@ -162,15 +163,17 @@ def compute_constants(
 # linearized profile corrections
 # ---------------------------------------------------------------------------
 
-def _check_even(ground):
-    """Raise unless S is even about index 0 in x and in y bit for bit, and X
-    to the roundoff of the real transforms that made it from S."""
+def _even_quarters(ground):
+    """The EvenGrid quarters of S and X, which must be even about index 0 in
+    x and in y: S bit for bit, X to the roundoff of the transforms from S."""
     e = ground.grid.even
     S, X = ground.S.values, ground.X.values
-    if not np.array_equal(e.expand(e.restrict(S)), S):
+    if not is_even(S):
         raise SymmetryViolationError("ground-state S is not even about index 0")
-    if np.max(np.abs(e.expand(e.restrict(X)) - X)) > 1e-12 * np.max(np.abs(X)):
+    X_q = e.restrict(X)
+    if np.max(np.abs(e.expand(X_q) - X)) > 1e-12 * np.max(np.abs(X)):
         raise SymmetryViolationError("ground-state X is not even about index 0")
+    return e.restrict(S), X_q
 
 
 def minres(A, b, rtol=1e-12, maxiter=1000, callback=None, inner=lambda u, v: np.sum(u * v)):
@@ -223,11 +226,9 @@ def solve_linearized(ground: GroundState, spec: ModelSpec, mode: str) -> Lineari
     the operator: 4 DCT-I per iteration, none for a preconditioner step."""
     if mode not in ("GY", "HZ"):
         raise ParameterError(f"mode must be 'GY' or 'HZ', got {mode!r}")
-    _check_even(ground)
+    S, X = _even_quarters(ground)
     g = ground.grid
     e = g.even
-    S = e.restrict(ground.S.values)
-    X = e.restrict(ground.X.values)
     beta, rho, nu = ground.beta, ground.rho, ground.nu
     e_xx = e.real_symbol("e", nu, "xx")
     inv = e.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}

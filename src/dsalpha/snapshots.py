@@ -13,10 +13,10 @@ Layout, little-endian, no padding:
               row-major with the x index first (y fastest)
 
 Write-then-read is bit-exact; version or magic mismatches, a non-finite
-time and header grids that Grid2D rejects are format errors, and short
-payloads are reported with expected vs actual byte counts.  Writes
-are atomic (atomic_open), so a failed or killed write never leaves a
-truncated file in place of an earlier one.
+time or payload sample and header grids that Grid2D rejects are format
+errors, and short payloads are reported with expected vs actual byte
+counts.  Writes are atomic (atomic_open), so a failed or killed write
+never leaves a truncated file in place of an earlier one.
 """
 
 import math
@@ -107,6 +107,8 @@ def read_snapshot(path):
     except ParameterError as exc:
         raise SnapshotFormatError(f"snapshot header holds an invalid grid: {exc}") from None
     values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nx, ny).copy()
+    if not np.isfinite(values).all():
+        raise SnapshotFormatError("snapshot payload holds non-finite samples")
     meta = {
         "kind": _TAG_KIND[tag],
         "beta": beta,

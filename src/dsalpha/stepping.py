@@ -40,7 +40,9 @@ The loop stops at t_end, at dt underflow, at blow-up (amp_max), or, before
 the amplitude test, with NUMERICAL_INSTABILITY once the relative mass drift
 passes MAX_MASS_DRIFT: a conservative flow cannot drift, so a step that
 does is non-conservative (IFRK4 beyond its stability limit) rather than a
-collapse.
+collapse.  Overflow is tested first, on that pass's peak of |v|^2: a nan or
+inf sample, or |v|^2 past the float range, stops the run as a blow-up with
+no record of the overflowed state.  v0 itself must be finite.
 """
 
 from dataclasses import dataclass
@@ -51,6 +53,7 @@ import numpy as np
 
 from .errors import ParameterError, require_finite
 from .fields import Field
+from .grid import is_even
 from .models import ModelSpec, _hamiltonian_and_potential, _intensity_and_potential, mass
 from .spectral import grad_norm_spectrum
 
@@ -157,17 +160,6 @@ def _mass_and_peak(values, g):
     return g.sum(intensity) * g.cell_area, float(np.max(intensity))
 
 
-def _even_centre(values):
-    """The grid point about which values are exactly even in x and in y, or
-    None: the peak of |values|, if values equals itself bit for bit under
-    both reflections about it."""
-    centre = np.unravel_index(np.argmax(np.abs(values)), values.shape)
-    w = np.roll(values, (-centre[0], -centre[1]), axis=(0, 1))
-    if np.array_equal(w[1:], w[:0:-1]) and np.array_equal(w[:, 1:], w[:, :0:-1]):
-        return centre
-    return None
-
-
 def _phase(theta):
     """exp(i theta) for real theta, from cos and sin (a third of np.exp's time)."""
     out = np.empty(theta.shape, dtype=np.complex128)
@@ -220,11 +212,16 @@ def integrate(
         raise ParameterError("record_every must be a positive step count")
     spec.warn_if_out_of_regime()
     values = np.array(v0.values, dtype=np.complex128, copy=True)
-    g = v0.grid
-    centre = _even_centre(values) if control.stepper == "strang" else None
-    if centre is not None:
-        g = g.even
-        values = g.restrict(np.roll(values, (-centre[0], -centre[1]), axis=(0, 1)))
+    if not np.isfinite(values).all():
+        raise ParameterError("v0 must be finite")
+    g, centre = v0.grid, None
+    if control.stepper == "strang":
+        peak = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+        rolled = np.roll(values, (-peak[0], -peak[1]), axis=(0, 1))
+        if is_even(rolled):
+            centre, g = peak, g.even
+            values = g.restrict(rolled)
+        del rolled  # a full-grid copy, not to be held for the whole run
 
     def full_field(values):
         """values as a Field on v0's grid: a quarter is expanded and rolled back."""
@@ -233,9 +230,6 @@ def integrate(
         return Field(v0.grid, np.roll(g.expand(values), centre, axis=(0, 1)))
 
     t = 0.0
-    m0, amp2 = _mass_and_peak(values, g)
-    amp0 = float(np.max(np.abs(values)))
-    amp_max = control.amp_max if control.amp_max is not None else 1e6 * max(amp0, 1e-300)
     if grad_ref is None:
         grad_ref = 1.0
 
@@ -243,11 +237,13 @@ def integrate(
     # step or a record); it is None from the moment values change without it
     record, potential = _record(g, spec, t, control.dt, values, grad_ref)
     records: List[DiagnosticsRecord] = [record]
+    m0, amp2 = _mass_and_peak(values, g)
+    amp_max = control.amp_max if control.amp_max is not None else 1e6 * max(record.max_amp, 1e-300)
+    amp2_max = amp_max * amp_max  # saturates at inf, where amp_max**2 raises
     max_drift = 0.0
     status = RunStatus.REACHED_T_END
     steps = 0
     dt_last = control.dt
-    overflowed = False
     pending_half = 0.0  # dt/2 of nonlinear phase owed to the current state
 
     # adaptive steps are quantized to dt_max * 2^-m (rounding down, so the
@@ -317,19 +313,17 @@ def integrate(
         steps += 1
 
         dt_last = dt
-        if not np.isfinite(values).all():
-            # numerical overflow: the computable shadow of blow-up;
-            # keep the last healthy record rather than logging garbage
-            status = RunStatus.BLOW_UP_DETECTED
-            overflowed = True
-            break
-
         m, amp2 = _mass_and_peak(values, g)
+        if not np.isfinite(amp2):
+            # numerical overflow, the computable shadow of blow-up (a nan
+            # or inf sample makes the peak one); keep the last healthy record
+            status = RunStatus.BLOW_UP_DETECTED
+            break
         if m0 > 0:
             max_drift = max(max_drift, abs(m - m0) / m0)
         if max_drift > MAX_MASS_DRIFT:
             status = RunStatus.NUMERICAL_INSTABILITY
-        elif amp2 > amp_max**2:
+        elif amp2 > amp2_max:
             status = RunStatus.BLOW_UP_DETECTED
         if status is not RunStatus.REACHED_T_END:
             break
@@ -344,7 +338,7 @@ def integrate(
                 snapshot_writer(steps, t, full_field(values.copy()))
 
     close_half()
-    if not overflowed and records[-1].t != t:
+    if np.isfinite(amp2) and records[-1].t != t:  # no record of an overflowed state
         emit_record(t, dt_last)
 
     return RunOutcome(

@@ -5,7 +5,9 @@ bench/ counts Petviashvili sweeps by wrapping ground_state.symmetrize_even
 solve), so a sweep that stops calling it makes that metric read 0 while
 every physics check still passes.  This runs the traced smoke modulation
 workload and compares its sweep count with the calls seen here on the same
-solve, and with the sweeps GroundState.stages records.
+solve, and with the sweeps GroundState.stages records.  It also runs every
+workload of BENCHMARK.json untraced, as the benchmark command does, on the
+smoke sizes: a package name that only an untraced run calls is checked too.
 """
 
 import json
@@ -13,11 +15,26 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dsalpha.ground_state as gs_mod
 from dsalpha import Grid2D, solve_ground_state
 from conftest import count_calls
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_benchmark_command_runs_every_workload(workload):
+    done = subprocess.run(
+        [sys.executable, *BENCHMARK["command"][1:], "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"]
 
 
 def test_traced_modulation_counts_every_sweep(monkeypatch):

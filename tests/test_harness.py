@@ -111,6 +111,12 @@ class TestRunSimulation:
         levels = {r.dt for r in outcome.records[1:-1]}
         assert levels == {cfg.control.dt_max / 2, cfg.control.dt_max / 4}
 
+    def test_resume_on_another_grid_rejected(self, tmp_path):
+        arts = run_simulation(base_config(tmp_path, output_dir=str(tmp_path / "a"), t_end=0.0))
+        other = base_config(tmp_path, output_dir=str(tmp_path / "b"), t_end=0.0, nx=32)
+        with pytest.raises(ConfigError, match="checkpoint grid .* does not match config grid"):
+            run_simulation(other, resume_from=arts.final_snapshot_path)
+
     @pytest.mark.parametrize(
         "name, value",
         [("kind", ModelKind.RDS1), ("beta", 0.5), ("rho", -0.5), ("nu", 2.0), ("alpha", 0.3)],
@@ -243,6 +249,34 @@ class TestCli:
         assert cli_main(["simulate", str(cfg)]) == 0
         assert "status=reached_t_end" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old, new", [
+        # amp_max**2 overflowed a float and raised, as did the square of the
+        # default amp_max, 1e6 max|v0|
+        ("step.t_end = 0.05", "step.t_end = 0.05\nstep.amp_max = 1e200"),
+        ("ic.amplitude = 1.5", "ic.amplitude = 1e150\nstep.adaptive = false"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_huge_amplitudes_exit_zero(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace(old, new))
+        assert cli_main(["simulate", str(cfg)]) == 0
+        assert "status=reached_t_end" in capsys.readouterr().out
+
+    def test_resume_from_non_finite_snapshot_exit_two(self, tmp_path, capsys):
+        # a nan sample is a snapshot format error, not a state that blows up
+        # in its first step
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out"))
+        g = Grid2D(64, 64, 16.0, 16.0)
+        v = gaussian_state(g, 1.5, 1.2)
+        v.values[3, 5] = np.nan
+        path = tmp_path / "nan.snap"
+        write_snapshot(path, v, 0.0, ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.2))
+        assert cli_main(["simulate", str(cfg), "--resume", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
     def test_ground_state_meta_records_stages(self, tmp_path, capsys):
         # 64^2 has a half grid: the Townes stage and the target stage on its
         # quarter, then the target stage on the grid's
@@ -347,6 +381,12 @@ class TestCli:
         path.write_text(f"{CSV_HEADER}\n0,1e-3,1,0,0,1,inf\n\n{row}\n")
         assert cli_main(["fit", str(path)]) == 2
         assert f"{path}:4: expected 7 numbers" in capsys.readouterr().err
+
+    def test_fit_wrong_header_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "diag.csv"
+        path.write_text("t,dt,mass\n0,1e-3,1\n")
+        assert cli_main(["fit", str(path)]) == 2
+        assert "unexpected diagnostics header" in capsys.readouterr().err
 
     def test_fit_insufficient_data_exit_two(self, tmp_path):
         from dsalpha.stepping import DiagnosticsRecord

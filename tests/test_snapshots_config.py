@@ -103,15 +103,27 @@ class TestSnapshots:
     def test_header_magic_value(self):
         assert MAGIC == b"DSA1"
 
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.snap"
+        path.write_bytes(MAGIC + bytes(6))
+        with pytest.raises(SnapshotFormatError, match=r"shorter than its header: 10 < \d+ bytes"):
+            read_snapshot(path)
+
     @pytest.mark.parametrize(
-        "nx, lx, t, match",
-        [(16, -4.0, 0.0, "invalid grid"), (15, 4.0, 0.0, "invalid grid"), (16, 4.0, np.nan, "time")],
-        ids=["negative-side", "odd-size", "nan-time"],
+        "nx, lx, t, tag, sample, match",
+        [(16, -4.0, 0.0, 3, 0.0, "invalid grid"), (15, 4.0, 0.0, 3, 0.0, "invalid grid"),
+         (16, 4.0, np.nan, 3, 0.0, "time"), (16, 4.0, 0.0, 9, 0.0, "unknown model tag 9"),
+         (16, 4.0, 0.0, 3, np.nan, "non-finite"), (16, 4.0, 0.0, 3, -np.inf, "non-finite")],
+        ids=["negative-side", "odd-size", "nan-time", "unknown-tag", "nan-sample", "inf-sample"],
     )
-    def test_invalid_header_is_a_format_error(self, tmp_path, nx, lx, t, match):
+    def test_invalid_header_is_a_format_error(self, tmp_path, nx, lx, t, tag, sample, match):
+        # a snapshot that seeds a run must hold finite samples: one nan or inf
+        # sample is a format error, not initial data that blows up at once
         path = tmp_path / "header.snap"
-        header = snapshots_mod._HEADER.pack(MAGIC, 1, nx, 16, lx, 4.0, t, 3, 1.0, -1.0, 1.0, 0.1)
-        path.write_bytes(header + bytes(16 * nx * 16))
+        header = snapshots_mod._HEADER.pack(MAGIC, 1, nx, 16, lx, 4.0, t, tag, 1.0, -1.0, 1.0, 0.1)
+        payload = np.zeros((nx, 16), dtype="<c16")
+        payload[3, 5] = sample
+        path.write_bytes(header + payload.tobytes())
         with pytest.raises(SnapshotFormatError, match=match):
             read_snapshot(path)
         cfg = tmp_path / "run.cfg"
@@ -225,6 +237,9 @@ class TestConfig:
             "reduced.t_end = 0",
             "reduced.t_end = -1",  # the scale ODE run backwards
             "output.record_every = 0",
+            "step.t_end = -1",
+            "ic.kind = sphere",
+            "ic.kind = file",  # without ic.path
         ],
     )
     def test_invalid_value_rejected_at_load(self, tmp_path, line):

@@ -125,6 +125,31 @@ class TestIntegrate:
         with pytest.raises(ParameterError, match="stepper"):
             StepControl(stepper="rk4")
 
+    @pytest.mark.parametrize("sample, record_every, match", [
+        (np.nan, 1, "v0 must be finite"), (np.inf, 1, "v0 must be finite"),
+        (1.0, 0, "record_every"),
+    ])
+    def test_bad_input_rejected(self, sample, record_every, match):
+        g = Grid2D(16, 16, 8.0, 8.0)
+        v = gaussian_state(g, 1.5, 1.0)
+        v.values[3, 5] = sample
+        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+        with pytest.raises(ParameterError, match=match):
+            integrate(v, spec, StepControl(t_end=0.01), record_every=record_every)
+
+    def test_overflow_stops_as_blow_up_without_a_record(self):
+        # IFRK4 from amplitude 1e100 overflows in its first step: the run
+        # stops as a blow-up with only the healthy t = 0 record, and returns
+        # the non-finite state
+        g = Grid2D(32, 32, 8.0, 8.0)
+        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+        ctrl = StepControl(dt=1e-3, dt_max=1e-3, adaptive=False, t_end=0.01, stepper="ifrk4")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = integrate(gaussian_state(g, 1e100, 1.0), spec, ctrl, record_every=1)
+        assert out.status is RunStatus.BLOW_UP_DETECTED and out.steps == 1
+        assert [r.t for r in out.records] == [0.0]
+        assert not np.isfinite(out.final_state.values).all()
+
     def test_mass_conserved_to_roundoff(self):
         g = Grid2D(128, 128, 32.0, 32.0)
         spec = ModelSpec(ModelKind.RDS1, 1.0, 1.0, 1.0, 0.3)
