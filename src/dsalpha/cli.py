@@ -2,9 +2,10 @@
 
 Subcommands: simulate, ground-state, modulation, sweep, fit.  Exit code 0
 covers every scientific outcome (blow-up and numerical instability
-included); 2 flags configuration errors (an invalid value in any section,
-a resume under another model, modulation or sweep on a DSE config) or
-input-format errors, 1 unexpected I/O failures.
+included); 2 flags configuration or input-format errors (an invalid value
+in any section, a resume under another model, modulation or sweep on a DSE
+config); 1 flags I/O failures and any other package error a run raises (a
+v0 whose |v0|^2 overflows, a ground-state solve that does not converge).
 """
 
 import argparse

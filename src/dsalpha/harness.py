@@ -88,21 +88,25 @@ def gaussian_amplitude_for_mass(target_mass, width) -> float:
     return float(np.sqrt(target_mass / (np.pi * width**2)))
 
 
-def initial_state(cfg: RunConfig, grid: Grid2D) -> Field:
-    if cfg.ic_kind == "gaussian":
-        center = (cfg.ic_center_x, cfg.ic_center_y)
-        return gaussian_state(grid, cfg.ic_amplitude, cfg.ic_width, center, cfg.ic_chirp)
-    field, _, _ = read_snapshot(cfg.ic_path)
-    if field.grid != grid:
-        raise ConfigError(
-            f"initial-condition file grid {field.grid} does not match config grid {grid}"
-        )
-    return field
+def read_start(cfg: RunConfig, path, source: str):
+    """read_snapshot(path), whose header (nx, ny, lx, ly) must be cfg's."""
+    field, t, meta = read_snapshot(path)
+    g, want = field.grid, (cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+    if (g.nx, g.ny, g.lx, g.ly) != want:
+        raise ConfigError(f"{source} grid {g} does not match config grid {want}")
+    return field, t, meta
 
 
-def ground_state_for(cfg: RunConfig, grid: Optional[Grid2D] = None) -> GroundState:
-    if grid is None:
-        grid = Grid2D(*cfg.ground_grid) if cfg.ground_grid is not None else build_grid(cfg)
+def initial_state(cfg: RunConfig, grid: Optional[Grid2D]) -> Field:
+    """cfg's Gaussian on grid, or its ic.path snapshot (read_start; grid unused)."""
+    if cfg.ic_kind == "file":
+        return read_start(cfg, cfg.ic_path, "initial-condition file")[0]
+    center = (cfg.ic_center_x, cfg.ic_center_y)
+    return gaussian_state(grid, cfg.ic_amplitude, cfg.ic_width, center, cfg.ic_chirp)
+
+
+def ground_state_for(cfg: RunConfig) -> GroundState:
+    grid = Grid2D(*cfg.ground_grid) if cfg.ground_grid is not None else build_grid(cfg)
     return solve_ground_state(grid, cfg.beta, cfg.rho, cfg.nu, cfg.petviashvili)
 
 
@@ -148,27 +152,21 @@ class SimulationArtifacts:
 def run_simulation(
     cfg: RunConfig,
     resume_from: Optional[str] = None,
-    grad_ref: Optional[float] = None,
+    grad_ref: float = 1.0,
 ) -> SimulationArtifacts:
     """Run one simulation as configured, writing all artifacts to disk."""
     prepare_output_dir(cfg, "to run a simulation")
-
-    grid = build_grid(cfg)
     spec = build_spec(cfg)
 
-    t0 = 0.0
-    if resume_from is not None:
-        v0, t0, meta = read_snapshot(resume_from)
-        if v0.grid != grid:
-            raise ConfigError(f"checkpoint grid {v0.grid} does not match config grid {grid}")
+    if resume_from is None:
+        # only a Gaussian start needs cfg's grid; a file start is checked by read_start
+        v0, t0 = initial_state(cfg, build_grid(cfg) if cfg.ic_kind == "gaussian" else None), 0.0
+    else:
+        v0, t0, meta = read_start(cfg, resume_from, "checkpoint")
         for name, value in meta.items():
             if value != getattr(spec, name):
-                raise ConfigError(
-                    f"checkpoint model.{name} {value} does not match config "
-                    f"model.{name} {getattr(spec, name)}"
-                )
-    else:
-        v0 = initial_state(cfg, grid)
+                raise ConfigError(f"checkpoint model.{name} {value} does not match config "
+                                  f"model.{name} {getattr(spec, name)}")
 
     control = replace(cfg.control, t_end=max(cfg.control.t_end - t0, 0.0))
 
@@ -232,7 +230,6 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
     gS = grad_norm_spectrum(fft2(ground.S.values.astype(np.complex128)), ground.grid)
 
     rows = []
-    completed = []
     for alpha in sorted(alphas):
         try:
             sub = replace(
@@ -242,10 +239,9 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
             l_min_pde = min(r.L_est for r in arts.outcome.records)
             consts, traj = reduced_dynamics(sub, ground)
             rows.append((alpha, l_min_pde, traj.l_min, consts.C1, consts.C2))
-            completed.append(alpha)
         except ConfigError as exc:
             raise ConfigError(
-                f"sweep aborted at alpha={alpha}; completed rows: {completed}: {exc}"
+                f"sweep aborted at alpha={alpha}; completed rows: {[r[0] for r in rows]}: {exc}"
             ) from exc
 
     path = os.path.join(cfg.output_dir, "sweep.csv")

@@ -94,9 +94,13 @@ class ReducedState:
         """Initial reduced data; b0 defaults to a^2 = (L0 Lt0)^2 (zero initial a_tau)."""
         if L0 <= 0:
             raise ParameterError("initial scale L0 must be positive")
-        if b0 is None:
-            b0 = (L0 * Lt0) ** 2
-        return cls(t=0.0, L=L0, L_t=Lt0, tau=0.0, b=b0, eps=(alpha / L0) ** 2)
+        try:  # ** raises OverflowError where a square leaves the float range
+            b, eps = ((L0 * Lt0) ** 2 if b0 is None else b0), (alpha / L0) ** 2
+        except OverflowError:
+            b = eps = math.inf
+        if not (math.isfinite(b) and math.isfinite(eps)):
+            raise ParameterError(f"b or eps is not finite for L0={L0}, Lt0={Lt0}, alpha={alpha}")
+        return cls(t=0.0, L=L0, L_t=Lt0, tau=0.0, b=b, eps=eps)
 
 
 @dataclass

@@ -42,7 +42,7 @@ passes MAX_MASS_DRIFT: a conservative flow cannot drift, so a step that
 does is non-conservative (IFRK4 beyond its stability limit) rather than a
 collapse.  Overflow is tested first, on that pass's peak of |v|^2: a nan or
 inf sample, or |v|^2 past the float range, stops the run as a blow-up with
-no record of the overflowed state.  v0 itself must be finite.
+no record of the overflowed state; the same test rejects v0 (ParameterError).
 """
 
 from dataclasses import dataclass
@@ -194,7 +194,7 @@ def integrate(
     spec: ModelSpec,
     control: StepControl,
     record_every: int = 10,
-    grad_ref: Optional[float] = None,
+    grad_ref: float = 1.0,
     snapshot_every: int = 0,
     snapshot_writer: Optional[Callable[[int, float, Field], None]] = None,
 ) -> RunOutcome:
@@ -212,8 +212,6 @@ def integrate(
         raise ParameterError("record_every must be a positive step count")
     spec.warn_if_out_of_regime()
     values = np.array(v0.values, dtype=np.complex128, copy=True)
-    if not np.isfinite(values).all():
-        raise ParameterError("v0 must be finite")
     g, centre = v0.grid, None
     if control.stepper == "strang":
         peak = np.unravel_index(np.argmax(np.abs(values)), values.shape)
@@ -230,14 +228,15 @@ def integrate(
         return Field(v0.grid, np.roll(g.expand(values), centre, axis=(0, 1)))
 
     t = 0.0
-    if grad_ref is None:
-        grad_ref = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0, amp2 = _mass_and_peak(values, g)
+    if not np.isfinite(amp2):  # a nan or inf sample, or |v0|^2 past the float range
+        raise ParameterError("v0 must be finite, with |v0|^2 in the float range")
 
     # besides values, the loop may know their potential P (left by a Strang
     # step or a record); it is None from the moment values change without it
     record, potential = _record(g, spec, t, control.dt, values, grad_ref)
     records: List[DiagnosticsRecord] = [record]
-    m0, amp2 = _mass_and_peak(values, g)
     amp_max = control.amp_max if control.amp_max is not None else 1e6 * max(record.max_amp, 1e-300)
     amp2_max = amp_max * amp_max  # saturates at inf, where amp_max**2 raises
     max_drift = 0.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dsalpha import (
     Field,
     Grid2D,
+    GridMismatchError,
     ModelKind,
     ModelSpec,
     ParameterError,
@@ -47,6 +48,11 @@ class TestGrid:
             Grid2D(16, 16, side, 4.0)
         with pytest.raises(ParameterError, match="finite"):
             Grid2D(16, 16, 4.0, side)
+
+    @pytest.mark.parametrize("shape", [(16, 8), (8, 16), (16,)])
+    def test_field_shape_must_be_its_grids(self, shape):
+        with pytest.raises(GridMismatchError, match="does not match"):
+            Field(Grid2D(16, 16, 4.0, 4.0), np.zeros(shape))
 
     def test_holds_no_coordinate_meshes(self):
         # r2 and k2 as float n x n tables plus the boolean dealias mask;
@@ -365,6 +371,12 @@ class TestHelmholtzInverse:
             helmholtz_inverse(f, 0.0)
         with pytest.raises(ParameterError):
             helmholtz_inverse(f, -1.0)
+
+    def test_non_finite_field_rejected(self, grid_small):
+        f = complex_field(grid_small, np.zeros((64, 64)))
+        f.values[3, 5] = np.nan
+        with pytest.raises(ParameterError, match="finite"):
+            helmholtz_inverse(f, 0.5)
 
 
 class TestEMultiplier:

@@ -19,6 +19,7 @@ from dsalpha.harness import (
 )
 from dsalpha.snapshots import read_snapshot, write_snapshot
 from dsalpha.stepping import StepControl
+from conftest import count_calls
 
 
 def base_config(tmp_path, **overrides):
@@ -127,6 +128,18 @@ class TestRunSimulation:
         setattr(other, name, value)
         with pytest.raises(ConfigError, match=f"model.{name}"):
             run_simulation(other, resume_from=arts.final_snapshot_path)
+
+    @pytest.mark.parametrize("start", ["resume", "ic_file"])
+    def test_snapshot_start_builds_one_grid(self, tmp_path, monkeypatch, start):
+        # the snapshot's grid is the run's; the config's is compared by its
+        # header numbers, never built
+        arts = run_simulation(base_config(tmp_path, output_dir=str(tmp_path / "a"), t_end=0.0))
+        cfg = base_config(tmp_path, output_dir=str(tmp_path / "b"), t_end=0.02)
+        if start == "ic_file":
+            cfg.ic_kind, cfg.ic_path = "file", arts.final_snapshot_path
+        built = count_calls(monkeypatch, Grid2D, "__init__")
+        run_simulation(cfg, resume_from=arts.final_snapshot_path if start == "resume" else None)
+        assert len(built) == 1
 
     def test_ic_file_may_seed_another_model(self, tmp_path):
         arts = run_simulation(base_config(tmp_path, output_dir=str(tmp_path / "a"), t_end=0.0))
@@ -262,6 +275,16 @@ class TestCli:
         cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace(old, new))
         assert cli_main(["simulate", str(cfg)]) == 0
         assert "status=reached_t_end" in capsys.readouterr().out
+
+    def test_overflowing_v0_exit_one(self, tmp_path, capsys):
+        # a valid config whose state cannot be stepped: |v0|^2 overflows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out")
+                       .replace("ic.amplitude = 1.5", "ic.amplitude = 1e160"))
+        assert cli_main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: v0 must be finite")
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
     def test_resume_from_non_finite_snapshot_exit_two(self, tmp_path, capsys):
         # a nan sample is a snapshot format error, not a state that blows up

@@ -374,6 +374,24 @@ class TestIntegrateReduced:
         with pytest.raises(ParameterError):
             integrate_reduced(self.CONSTANTS, 0.1, -1.0, -1.0, 1.0)
 
+    def test_long_run_thinned_to_max_samples(self, monkeypatch):
+        # a bounded oscillation over 100 time units takes about 5200 solver
+        # steps; at most MAX_SAMPLES of them are kept, both endpoints among them
+        import scipy.integrate
+
+        solved, solve_ivp = [], scipy.integrate.solve_ivp
+
+        def recorded(*args, **kwargs):
+            solved.append(solve_ivp(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded)
+        traj = integrate_reduced(self.CONSTANTS, 0.1, 1.0, -0.5, 100.0)
+        steps = solved[0].t
+        assert len(steps) > modulation.MAX_SAMPLES == len(traj.states) == 4000
+        assert traj.t[0] == 0.0 and traj.t[-1] == steps[-1] == 100.0
+        assert np.all(np.diff(traj.t) > 0) and set(traj.t) <= set(steps)
+
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_nonpositive_horizon_rejected(self, t_end):
         # a negative horizon would integrate the scale ODE backwards in time

@@ -1,7 +1,7 @@
 """Properties only a fresh interpreter shows: what `import dsalpha` loads,
-and GY/HZ results under other thread counts.  The pytest process has scipy's
-submodules loaded already and its thread pools started, so each check runs
-a child process on this checkout's src/."""
+GY/HZ results under other thread counts, and `python -m dsalpha` itself.
+The pytest process has scipy's submodules loaded already and its thread
+pools started, so each check runs a child process on this checkout's src/."""
 
 import json
 import os
@@ -15,11 +15,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED_BY_RUNS = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 
 
-def run_child(code, *args, **env):
+def run_python(*args, **env):
+    """The finished `python *args` child, on this checkout's src/."""
     environ = dict(os.environ, **env)
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=environ,
+    return subprocess.run([sys.executable, *map(str, args)], env=environ,
                           capture_output=True, text=True, timeout=300)
+
+
+def run_child(code, *args, **env):
+    done = run_python("-c", code, *args, **env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -72,6 +77,19 @@ def test_runs_and_fit_load_only_scipy_fft(tmp_path):
     # the reduced ODE imports its integrator on first use, and still works
     assert "scipy.integrate" in got["after"]
     assert 0.0 < got["l_min"] < 1.0 and got["q_drift"] < 1e-8
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # __main__.py hands cli.main's return value to sys.exit
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN.format(out=tmp_path / "out").replace("= 32", "= 16"))
+    done = run_python("-m", "dsalpha", "simulate", cfg)
+    assert done.returncode == 0, done.stderr
+    assert "status=reached_t_end" in done.stdout
+    assert (tmp_path / "out" / "diagnostics.csv").exists()
+    done = run_python("-m", "dsalpha", "simulate", tmp_path / "absent.cfg")
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"error: config file not found: {tmp_path / 'absent.cfg'}"]
 
 
 LINEARIZED = """

@@ -225,6 +225,9 @@ class TestConfig:
             "ground.gamma = 2.5",  # not a key: the exponent is 3/2
             "ground.nx = 7",
             "reduced.l0 = -1",
+            "reduced.l0 = 1e200",  # (l0 * lt0)^2 overflows
+            "reduced.l0 = 1e-200",  # (alpha / l0)^2 overflows
+            "step.adaptive = maybe",
             "model.nu = nan",  # would zero every E symbol
             "grid.lx = nan",
             "step.t_end = nan",
@@ -232,6 +235,7 @@ class TestConfig:
             "ground.tol = nan",
             "ic.amplitude = -inf",
             "sweep.alphas = 0.1,nan",
+            "sweep.alphas = 0.1,x",
             "ic.width = 0",  # a NaN initial state
             "ic.width = -1.5",
             "reduced.t_end = 0",

@@ -137,6 +137,18 @@ class TestIntegrate:
         with pytest.raises(ParameterError, match=match):
             integrate(v, spec, StepControl(t_end=0.01), record_every=record_every)
 
+    @pytest.mark.parametrize("stepper", ["strang", "ifrk4"])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_v0_rejected(self, stepper, adaptive):
+        # every sample of a 1e160 Gaussian is finite but its |v0|^2 peak is
+        # not; the t = 0 |v0|^2 pass rejects it, without a numpy warning
+        g = Grid2D(16, 16, 8.0, 8.0)
+        spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
+        ctrl = StepControl(adaptive=adaptive, t_end=0.01, stepper=stepper)
+        with pytest.raises(ParameterError, match="v0 must be finite"):
+            integrate(gaussian_state(g, 1e160, 1.0), spec, ctrl)
+
     def test_overflow_stops_as_blow_up_without_a_record(self):
         # IFRK4 from amplitude 1e100 overflows in its first step: the run
         # stops as a blow-up with only the healthy t = 0 record, and returns
