@@ -5,7 +5,7 @@ covers every scientific outcome (blow-up and numerical instability
 included); 2 flags configuration or input-format errors (an invalid value
 in any section, a resume under another model, modulation or sweep on a DSE
 config); 1 flags I/O failures and any other package error a run raises (a
-v0 whose |v0|^2 overflows, a ground-state solve that does not converge).
+v0 whose |v0|^2 or H overflows, a ground-state solve that does not converge).
 """
 
 import argparse

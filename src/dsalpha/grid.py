@@ -103,9 +103,6 @@ class _SymbolTables:
         num = kx**2 if component == "xx" else kx * ky
         return np.where(denom > 0, num / safe, 0.0)
 
-    def _one_minus_laplacian(self, m):
-        return 1.0 + self._k2(m)
-
 
 class Grid2D(_SymbolTables):
     """Uniform periodic grid with cached wavenumber tables.

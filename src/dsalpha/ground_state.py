@@ -136,7 +136,7 @@ def _petviashvili(S, grid, beta, rho, nu, cfg):
     returns (S, X = E(S^2), residual) on that quarter and the sweeps made."""
     inv = grid.real_symbol("helmholtz", 1.0)  # (1 - Lap)^{-1}
     e_xx = grid.real_symbol("e", nu, "xx")
-    one_minus_lap = grid.real_symbol("one_minus_laplacian")
+    one_minus_lap = 1.0 + grid.real_symbol("k2")
     scale0 = float(np.max(np.abs(S)))
 
     def evaluate(S):

@@ -222,6 +222,10 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
         raise ConfigError("sweep needs at least 2 alpha values")
     if not all(0 < a < np.inf for a in alphas):
         raise ConfigError(f"sweep alphas must all be positive and finite, got {alphas}")
+    # one run directory per alpha: alphas that format alike would share one
+    dirs = {alpha: f"alpha_{alpha:.6g}" for alpha in alphas}
+    if len(set(dirs.values())) < len(alphas):
+        raise ConfigError(f"sweep alphas must differ in their 6 significant digits, got {alphas}")
     require_regularized(cfg, "sweep")
     prepare_output_dir(cfg, "for a sweep")
 
@@ -232,9 +236,7 @@ def sweep_alpha(cfg: RunConfig, alphas: List[float], ground: Optional[GroundStat
     rows = []
     for alpha in sorted(alphas):
         try:
-            sub = replace(
-                cfg, alpha=alpha, output_dir=os.path.join(cfg.output_dir, f"alpha_{alpha:.6g}")
-            )
+            sub = replace(cfg, alpha=alpha, output_dir=os.path.join(cfg.output_dir, dirs[alpha]))
             arts = run_simulation(sub, grad_ref=gS)
             l_min_pde = min(r.L_est for r in arts.outcome.records)
             consts, traj = reduced_dynamics(sub, ground)

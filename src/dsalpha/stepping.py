@@ -21,9 +21,9 @@ fused step thus makes 3 complex and 2 real transforms (ifft2 of the
 dealiased spectrum, rfft2/irfft2 of the potential, fft2/ifft2 of the linear
 substep), and a record makes 2 complex and 2 real ones.
 
-Strang steps of a state even about a grid point run on the EvenGrid
-quarter of its grid, (nx/2+1) x (ny/2+1) samples, where each of the
-transforms above is a DCT-I.  The flow commutes with whole-cell shifts, so
+Steps of either stepper from a state even about a grid point run on the
+EvenGrid quarter of its grid, (nx/2+1) x (ny/2+1) samples, where each
+transform above is a DCT-I.  The flow commutes with whole-cell shifts, so
 the loop rolls the centre to index 0; and every operator of the flow keeps
 evenness in x and in y (the Laplacian, the E and Helmholtz symbols, the
 2/3 mask and the pointwise phase), so the state stays even and the quarter
@@ -32,9 +32,9 @@ quarter with its weighted sum; snapshots and the final state are expanded
 to full-grid Fields and rolled back.  The test at entry is exact: one
 candidate centre, the peak of |v0|, and bitwise equality of v0 under both
 reflections about it.  A state that is even only to roundoff, or not at
-all, and every IFRK4 run step on the full grid, so nothing is projected
-and the two paths differ only by roundoff.  A centred radial profile
-passes, since Grid2D's coordinates are mirror-exact.
+all, steps on the full grid, so nothing is projected and the two paths
+differ only by roundoff.  A centred radial profile passes, since Grid2D's
+coordinates are mirror-exact.
 
 The loop stops at t_end, at dt underflow, at blow-up (amp_max), or, before
 the amplitude test, with NUMERICAL_INSTABILITY once the relative mass drift
@@ -42,7 +42,7 @@ passes MAX_MASS_DRIFT: a conservative flow cannot drift, so a step that
 does is non-conservative (IFRK4 beyond its stability limit) rather than a
 collapse.  Overflow is tested first, on that pass's peak of |v|^2: a nan or
 inf sample, or |v|^2 past the float range, stops the run as a blow-up with
-no record of the overflowed state; the same test rejects v0 (ParameterError).
+no record of the overflowed state; that test and a finite t = 0 H admit v0.
 """
 
 from dataclasses import dataclass
@@ -213,13 +213,12 @@ def integrate(
     spec.warn_if_out_of_regime()
     values = np.array(v0.values, dtype=np.complex128, copy=True)
     g, centre = v0.grid, None
-    if control.stepper == "strang":
-        peak = np.unravel_index(np.argmax(np.abs(values)), values.shape)
-        rolled = np.roll(values, (-peak[0], -peak[1]), axis=(0, 1))
-        if is_even(rolled):
-            centre, g = peak, g.even
-            values = g.restrict(rolled)
-        del rolled  # a full-grid copy, not to be held for the whole run
+    peak = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    rolled = np.roll(values, (-peak[0], -peak[1]), axis=(0, 1))
+    if is_even(rolled):
+        centre, g = peak, g.even
+        values = g.restrict(rolled)
+    del rolled  # a full-grid copy, not to be held for the whole run
 
     def full_field(values):
         """values as a Field on v0's grid: a quarter is expanded and rolled back."""
@@ -228,14 +227,14 @@ def integrate(
         return Field(v0.grid, np.roll(g.expand(values), centre, axis=(0, 1)))
 
     t = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        m0, amp2 = _mass_and_peak(values, g)
-    if not np.isfinite(amp2):  # a nan or inf sample, or |v0|^2 past the float range
-        raise ParameterError("v0 must be finite, with |v0|^2 in the float range")
-
     # besides values, the loop may know their potential P (left by a Strang
     # step or a record); it is None from the moment values change without it
-    record, potential = _record(g, spec, t, control.dt, values, grad_ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0, amp2 = _mass_and_peak(values, g)
+        record, potential = _record(g, spec, t, control.dt, values, grad_ref)
+    # a nan or inf sample, or |v0|^2 or H past the float range (L_est may be inf)
+    if not (np.isfinite(amp2) and np.isfinite(record.hamiltonian)):
+        raise ParameterError("v0 must be finite, with |v0|^2 and H in the float range")
     records: List[DiagnosticsRecord] = [record]
     amp_max = control.amp_max if control.amp_max is not None else 1e6 * max(record.max_amp, 1e-300)
     amp2_max = amp_max * amp_max  # saturates at inf, where amp_max**2 raises

@@ -176,8 +176,7 @@ class TestRealLayoutCache:
 
     # the Petviashvili solve's tables, built on the quarters of the grid and
     # of its half grid (the EvenGrid builds its k2 and dealias_zero itself)
-    SOLVE = [("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (1.0,)), ("k2", ()),
-             ("one_minus_laplacian", ())]
+    SOLVE = [("dealias_zero", ()), ("e", (1.0, "xx")), ("helmholtz", (1.0,)), ("k2", ())]
 
     @pytest.mark.parametrize("nx, ny", [(64, 48), (48, 64)])
     def test_real_tables_are_contiguous_ky_nonnegative_columns(self, nx, ny):
@@ -226,7 +225,6 @@ class TestRealLayoutCache:
             "k2": lambda: g.k2,
             "e": lambda nu, component: g.e_symbol(nu, component),
             "helmholtz": lambda alpha: g.helmholtz_symbol(alpha),
-            "one_minus_laplacian": lambda: 1.0 + g.k2,
             "dealias_zero": lambda: g.dealias_zero,
         }
         for key, table in tables.items():
@@ -289,7 +287,6 @@ class TestEvenGrid:
         for name, params, full in (
             ("e", (1.3, "xx"), g.e_symbol(1.3, "xx")),
             ("helmholtz", (0.4,), g.helmholtz_symbol(0.4)),
-            ("one_minus_laplacian", (), 1.0 + g.k2),
         ):
             assert np.array_equal(e.real_symbol(name, *params), full[quarter])
 

@@ -176,9 +176,10 @@ class TestAtomicArtifacts:
 class TestSweep:
     def test_rows_sorted_and_deterministic(self, tmp_path):
         cfg = base_config(tmp_path, t_end=0.1, reduced_t_end=1.0)
-        rows, path = sweep_alpha(cfg, [0.4, 0.2, 0.2])
-        assert [r[0] for r in rows] == [0.2, 0.2, 0.4]
-        assert rows[0] == rows[1]  # duplicated alpha gives identical rows
+        rows, path = sweep_alpha(cfg, [0.4, 0.2])
+        assert [r[0] for r in rows] == [0.2, 0.4]
+        # the same alpha gives identical rows
+        assert sweep_alpha(cfg, [0.2, 0.3])[0][0] == rows[0]
         with open(path) as fh:
             header = fh.readline().strip()
         assert header == "alpha,L_min_pde,L_min_reduced,C1,C2"
@@ -263,10 +264,8 @@ class TestCli:
         assert "status=reached_t_end" in capsys.readouterr().out
 
     @pytest.mark.parametrize("old, new", [
-        # amp_max**2 overflowed a float and raised, as did the square of the
-        # default amp_max, 1e6 max|v0|
+        # amp_max**2 overflowed a float and raised
         ("step.t_end = 0.05", "step.t_end = 0.05\nstep.amp_max = 1e200"),
-        ("ic.amplitude = 1.5", "ic.amplitude = 1e150\nstep.adaptive = false"),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -276,11 +275,18 @@ class TestCli:
         assert cli_main(["simulate", str(cfg)]) == 0
         assert "status=reached_t_end" in capsys.readouterr().out
 
-    def test_overflowing_v0_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("new", [
+        "ic.amplitude = 1e160",
+        "ic.amplitude = 1e150\nstep.adaptive = false",
+        "ic.amplitude = 1e100\nstep.stepper = ifrk4\nstep.adaptive = false",
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_v0_exit_one(self, tmp_path, capsys, new):
         # a valid config whose state cannot be stepped: |v0|^2 overflows
+        # (1e160), or the t = 0 record's H does (1e150, 1e100)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out")
-                       .replace("ic.amplitude = 1.5", "ic.amplitude = 1e160"))
+                       .replace("ic.amplitude = 1.5", new))
         assert cli_main(["simulate", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: v0 must be finite")
@@ -348,6 +354,19 @@ class TestCli:
         assert cli_main([argv[0], str(cfg), *argv[1:]]) == 2
         assert "regularized kinds only" in capsys.readouterr().err
         assert solves == []
+
+    @pytest.mark.parametrize("alphas", ["0.1,0.1000001", "0.2,0.1,0.2"])
+    def test_sweep_alphas_sharing_a_directory_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                       alphas):
+        # alpha_{alpha:.6g} names each run's directory: a second run there
+        # would overwrite the first.  Rejected before any solve or directory
+        solves = []
+        monkeypatch.setattr("dsalpha.harness.ground_state_for", lambda *a, **k: solves.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out"))
+        assert cli_main(["sweep", str(cfg), f"--alphas={alphas}"]) == 2
+        assert "6 significant digits" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, solver", [
         (["modulation"], "dsalpha.cli.ground_state_for"),

@@ -1,5 +1,6 @@
 """Properties only a fresh interpreter shows: what `import dsalpha` loads,
-GY/HZ results under other thread counts, and `python -m dsalpha` itself.
+GY/HZ and stepping results under other thread counts, and `python -m
+dsalpha` itself.
 The pytest process has scipy's submodules loaded already and its thread
 pools started, so each check runs a child process on this checkout's src/."""
 
@@ -123,3 +124,34 @@ def test_linearized_solves_do_not_depend_on_thread_counts():
     assert reference["GY"]["iterations"] > 0 and reference["HZ"]["iterations"] > 0
     for threads, got in runs.items():
         assert got == reference, threads
+
+
+STEPPING = """
+import hashlib, json
+from dsalpha import Grid2D, ModelKind, ModelSpec, StepControl, integrate
+from dsalpha.harness import gaussian_state
+
+g = Grid2D(128, 128, 32.0, 32.0)
+spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.2)
+starts = {"even": gaussian_state(g, 1.5, 1.0),
+          "off_centre": gaussian_state(g, 1.5, 1.0, center=(0.5 * g.dx, 0.0))}
+out = {}
+for stepper in ("strang", "ifrk4"):
+    for name, v0 in starts.items():
+        ctrl = StepControl(dt=2e-3, dt_max=2e-3, adaptive=stepper == "strang", t_end=0.04,
+                           stepper=stepper)
+        run = integrate(v0, spec, ctrl, record_every=4)
+        h = hashlib.sha256(run.final_state.values.tobytes())
+        for r in run.records:
+            h.update(repr(sorted(vars(r).items())).encode())
+        out[f"{stepper}-{name}"] = [run.steps, h.hexdigest()]
+print(json.dumps(out))
+"""
+
+
+def test_stepping_does_not_depend_on_fft_workers():
+    # even states step on the quarter grid (DCT-I), off-centre ones on the
+    # full grid (complex and real FFTs); both steppers, 1 and 2 workers
+    runs = [run_child(STEPPING, DSALPHA_FFT_WORKERS=str(fft)) for fft in (1, 2)]
+    assert len(runs[0]) == 4 and all(steps == 20 for steps, _ in runs[0].values())
+    assert runs[1] == runs[0]

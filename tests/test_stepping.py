@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from dsalpha import (
     Grid2D,
@@ -19,7 +18,7 @@ from dsalpha.harness import gaussian_state
 from dsalpha.models import mass, potential_values
 from dsalpha.spectral import fft2, grad_norm_spectrum, ifft2
 from dsalpha.stepping import MAX_MASS_DRIFT
-from conftest import count_calls, count_transforms, random_complex
+from conftest import count_transforms, random_complex
 from oracles import meshes
 
 
@@ -139,25 +138,28 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("stepper", ["strang", "ifrk4"])
     @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("amplitude", [1e160, 1e100])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_v0_rejected(self, stepper, adaptive):
+    def test_overflowing_v0_rejected(self, stepper, adaptive, amplitude):
         # every sample of a 1e160 Gaussian is finite but its |v0|^2 peak is
-        # not; the t = 0 |v0|^2 pass rejects it, without a numpy warning
+        # not; a 1e100 Gaussian's |v0|^2 is finite but its H (|v0|^4) is
+        # not.  The t = 0 pass and record reject both, without a numpy warning
         g = Grid2D(16, 16, 8.0, 8.0)
         spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
         ctrl = StepControl(adaptive=adaptive, t_end=0.01, stepper=stepper)
         with pytest.raises(ParameterError, match="v0 must be finite"):
-            integrate(gaussian_state(g, 1e160, 1.0), spec, ctrl)
+            integrate(gaussian_state(g, amplitude, 1.0), spec, ctrl)
 
     def test_overflow_stops_as_blow_up_without_a_record(self):
-        # IFRK4 from amplitude 1e100 overflows in its first step: the run
+        # IFRK4 from amplitude 1e70 overflows in its first step: the run
         # stops as a blow-up with only the healthy t = 0 record, and returns
         # the non-finite state
         g = Grid2D(32, 32, 8.0, 8.0)
         spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
         ctrl = StepControl(dt=1e-3, dt_max=1e-3, adaptive=False, t_end=0.01, stepper="ifrk4")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = integrate(gaussian_state(g, 1e100, 1.0), spec, ctrl, record_every=1)
+            out = integrate(gaussian_state(g, 1e70, 1.0), spec, ctrl, record_every=1)
+        assert np.isfinite(out.records[0].hamiltonian)
         assert out.status is RunStatus.BLOW_UP_DETECTED and out.steps == 1
         assert [r.t for r in out.records] == [0.0]
         assert not np.isfinite(out.final_state.values).all()
@@ -447,11 +449,12 @@ class TestLeanStep:
         integrate(v0, spec, ctrl, record_every=1)
         assert events == ["record"] + ["linear", "pipeline", "record"] * n
 
-    @pytest.mark.parametrize("case", ["one_ulp", "off_centre", "ifrk4"])
-    def test_full_grid_unless_exactly_even(self, monkeypatch, case):
-        # the quarter grid is taken only by Strang steps of a state that is
-        # even bit for bit: one ulp off in one sample, an off-centre
-        # Gaussian and any IFRK4 run make no DCT
+    @pytest.mark.parametrize("stepper", ["strang", "ifrk4"])
+    @pytest.mark.parametrize("case", ["centred", "one_ulp", "off_centre"])
+    def test_full_grid_unless_exactly_even(self, monkeypatch, case, stepper):
+        # the grid follows the state, not the stepper: a centred Gaussian,
+        # even bit for bit, makes only DCTs; one ulp off in one sample and
+        # an off-centre Gaussian make none
         g = Grid2D(32, 32, 8.0, 8.0)
         v0 = gaussian_state(g, 1.5, 1.0)
         if case == "one_ulp":
@@ -460,11 +463,50 @@ class TestLeanStep:
             v0 = off_centre_gaussian(g)
         spec = ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.3)
         ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=3 * self.DT,
-                           stepper="ifrk4" if case == "ifrk4" else "strang")
-        dcts = count_calls(monkeypatch, scipy.fft, "dctn")
-        out = integrate(v0, spec, ctrl, record_every=1)
-        assert out.steps == 3 and dcts == []
+                           stepper=stepper)
+        with monkeypatch.context() as mp:
+            counts = transform_counts(mp)
+            out = integrate(v0, spec, ctrl, record_every=1)
+        assert out.steps == 3
         assert out.final_state.grid is g
+        if case == "centred":
+            assert counts.names() == {"dctn"}
+        else:
+            assert "dctn" not in counts.names()
+
+    @pytest.mark.parametrize("kind, beta, alpha", [
+        (ModelKind.DSE, 1.0, 0.0), (ModelKind.RDS2, -0.5, 0.2), (ModelKind.RDS3, 1.0, 0.3),
+    ])
+    def test_even_ifrk4_matches_full_grid_reference(self, monkeypatch, kind, beta, alpha):
+        # IFRK4 on the quarter against the full-grid IFRK4: a loop of
+        # ifrk4_step on Grid2D Fields from the even noisy state, with a
+        # record every third step
+        g = Grid2D(32, 32, 8.0, 8.0)
+        v0 = even_noisy_state(g, (3, 27))
+        spec = ModelSpec(kind, beta, -1.0, 1.0, alpha)
+        ctrl = StepControl(adaptive=False, dt=self.DT, dt_max=self.DT, t_end=self.N * self.DT,
+                           stepper="ifrk4")
+        with monkeypatch.context() as mp:
+            counts = transform_counts(mp)
+            out = integrate(v0, spec, ctrl, record_every=3)
+        assert counts.names() == {"dctn"}
+        want = {0: v0.values}
+        v = v0
+        for step in range(1, self.N + 1):
+            v = stepping_mod.ifrk4_step(v, spec, self.DT)
+            want[step] = v.values
+        assert out.steps == self.N
+        assert [round(r.t / self.DT) for r in out.records] == [0, 3, 6, 9, 12, 15]
+        for r in out.records:
+            w = want[round(r.t / self.DT)]
+            f = complex_field(g, w)
+            assert r.grad_norm == pytest.approx(grad_norm_spectrum(fft2(w), g), rel=1e-12)
+            assert r.hamiltonian == pytest.approx(hamiltonian(f, spec), rel=1e-12)
+            assert r.max_amp == pytest.approx(np.max(np.abs(w)), rel=1e-12)
+            assert r.mass == pytest.approx(mass(f), rel=1e-12)
+        assert out.final_state.grid is g
+        scale = np.max(np.abs(v0.values))
+        assert np.max(np.abs(out.final_state.values - want[self.N])) < 1e-12 * scale
 
     def test_ifrk4_stage_potential_from_stage_spectrum(self, monkeypatch):
         # each of the four stages: ifft2 of its spectrum, the potential
