@@ -1,17 +1,19 @@
 """Command-line interface.
 
 Subcommands: simulate, ground-state, modulation, sweep, fit.  Exit code 0
-covers every scientific outcome (blow-up and numerical instability
-included); 2 flags configuration or input-format errors (an invalid value
-in any section, a resume under another model, modulation or sweep on a DSE
-config); 1 flags I/O failures and any other package error a run raises (a
-v0 whose |v0|^2 or H overflows, a ground-state solve that does not converge).
+covers every scientific outcome (blow-up and numerical instability included);
+2 flags configuration or input-format errors (an invalid value in any section
+or in DSALPHA_FFT_WORKERS, a resume under another model, modulation or sweep on
+a DSE config); 1 flags I/O failures and any other package error a run raises
+(a v0 whose |v0|^2 or H overflows, a ground-state solve that does not converge).
 """
 
 import argparse
 import json
 import os
 import sys
+
+import scipy.fft
 
 from .config import load_config, parse_alphas
 from .errors import ConfigError, DsalphaError, InsufficientDataError, SnapshotFormatError
@@ -151,20 +153,27 @@ def build_parser():
     return p
 
 
+def _fft_workers():
+    """The transforms' worker count: DSALPHA_FFT_WORKERS, read nowhere else in
+    the package and checked by scipy.fft.set_workers; unset, the caller's."""
+    value = os.environ.get("DSALPHA_FFT_WORKERS")
+    try:
+        with scipy.fft.set_workers(scipy.fft.get_workers() if value is None else int(value)):
+            return scipy.fft.get_workers()
+    except ValueError:
+        raise ConfigError("DSALPHA_FFT_WORKERS must be a nonzero integer, at least "
+                          f"-{os.cpu_count()} (-1: every CPU), got {value!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, SnapshotFormatError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with scipy.fft.set_workers(_fft_workers()):
+            return args.func(args)
     except DsalphaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        input_error = isinstance(exc, (ConfigError, SnapshotFormatError, InsufficientDataError))
+        return 2 if input_error else 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -61,21 +61,29 @@ from .modulation import ReducedState
 from .stepping import StepControl
 
 
+def read_lines(path) -> List[str]:
+    """The lines of a UTF-8 text file; other bytes are a ConfigError naming path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def parse_kv_file(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     pairs, first_line = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key in pairs:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
-            pairs[key], first_line[key] = value, lineno
+    for lineno, line in enumerate(read_lines(path), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in pairs:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        pairs[key], first_line[key] = value, lineno
     return pairs
 
 

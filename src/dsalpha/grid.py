@@ -26,19 +26,15 @@ loop run unchanged on either kind:
   every symbol, even in kx and ky, is its kx, ky >= 0 quarter.  prolong
   interpolates such data from the half grid's quarter.
 
-FFT_WORKERS (DSALPHA_FFT_WORKERS, default 1) is the thread count of every
-transform.
+Every transform runs on the calling thread's scipy.fft.set_workers count.
 """
 
 import math
-import os
 
 import numpy as np
 import scipy.fft as _fft
 
 from .errors import ParameterError
-
-FFT_WORKERS = int(os.environ.get("DSALPHA_FFT_WORKERS", "1"))
 
 
 def check_grid(nx, ny, lx, ly):
@@ -176,11 +172,11 @@ class Grid2D(_SymbolTables):
 
     @staticmethod
     def fft2(a):
-        return _fft.fft2(a, norm="ortho", workers=FFT_WORKERS)
+        return _fft.fft2(a, norm="ortho")
 
     @staticmethod
     def ifft2(a):
-        return _fft.ifft2(a, norm="ortho", workers=FFT_WORKERS)
+        return _fft.ifft2(a, norm="ortho")
 
     @staticmethod
     def sum(a):
@@ -189,11 +185,11 @@ class Grid2D(_SymbolTables):
 
     def rfft2(self, a):
         """Half-plane spectrum (nx, ny//2 + 1) of a real array."""
-        return _fft.rfft2(a, norm="ortho", workers=FFT_WORKERS)
+        return _fft.rfft2(a, norm="ortho")
 
     def irfft2(self, ah):
         """The real (nx, ny) array of a half-plane spectrum."""
-        return _fft.irfft2(ah, s=(self.nx, self.ny), norm="ortho", workers=FFT_WORKERS)
+        return _fft.irfft2(ah, s=(self.nx, self.ny), norm="ortho")
 
 
 class EvenGrid(_SymbolTables):
@@ -224,7 +220,7 @@ class EvenGrid(_SymbolTables):
         self._norm = 1.0 / math.sqrt(self.nx * self.ny)
 
     def fft2(self, a):
-        out = _fft.dctn(a, type=1, workers=FFT_WORKERS)
+        out = _fft.dctn(a, type=1)
         out *= self._norm
         return out
 

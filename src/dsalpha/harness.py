@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, read_lines
 from .errors import ConfigError
 from .fields import Field, complex_field
 from .grid import Grid2D
@@ -52,19 +52,17 @@ def read_diagnostics_csv(path) -> List[DiagnosticsRecord]:
     """The records of a diagnostics CSV; blank lines are skipped, and any
     other row that is not seven numbers is a ConfigError naming path:line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected diagnostics header in {path}: {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            try:
-                records.append(DiagnosticsRecord(*(float(v) for v in line.split(","))))
-            except (ValueError, TypeError):  # a non-number; a row of the wrong length
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 7 numbers, got {line.strip()!r}"
-                ) from None
+    header, *rows = read_lines(path) or [""]
+    if header.strip() != CSV_HEADER:
+        raise ConfigError(f"unexpected diagnostics header in {path}: {header.strip()!r}")
+    for lineno, line in enumerate(rows, 2):
+        if not line.strip():
+            continue
+        try:
+            records.append(DiagnosticsRecord(*(float(v) for v in line.split(","))))
+        except (ValueError, TypeError):  # a non-number; a row of the wrong length
+            raise ConfigError(f"{path}:{lineno}: expected 7 numbers, "
+                              f"got {line.strip()!r}") from None
     return records
 
 
@@ -145,7 +143,7 @@ def reduced_dynamics(cfg: RunConfig, ground: GroundState):
 class SimulationArtifacts:
     outcome: RunOutcome
     diagnostics_path: str
-    final_snapshot_path: str
+    final_snapshot_path: Optional[str]  # None after an overflow stop
     snapshot_paths: List[str]
 
 
@@ -177,38 +175,27 @@ def run_simulation(
         write_snapshot(path, field, t0 + t, spec)
         snapshot_paths.append(path)
 
-    outcome = integrate(
-        v0,
-        spec,
-        control,
-        record_every=cfg.record_every,
-        grad_ref=grad_ref,
-        snapshot_every=cfg.snapshot_every,
-        snapshot_writer=writer if cfg.snapshot_every > 0 else None,
-    )
+    outcome = integrate(v0, spec, control, record_every=cfg.record_every, grad_ref=grad_ref,
+                        snapshot_every=cfg.snapshot_every, snapshot_writer=writer)
 
-    # shift record times by the resume offset so files compose
-    if t0 != 0.0:
-        for r in outcome.records:
-            r.t += t0
-        outcome.t_final += t0
+    # shift record times by the resume offset (0 for a fresh run) so files compose
+    for r in outcome.records:
+        r.t += t0
+    outcome.t_final += t0
 
     diag_path = os.path.join(cfg.output_dir, "diagnostics.csv")
     write_diagnostics_csv(diag_path, outcome.records)
-    final_path = os.path.join(cfg.output_dir, "final.snap")
-    write_snapshot(final_path, outcome.final_state, outcome.t_final, spec)
+    final_path = None
+    if np.isfinite(outcome.final_state.values).all():  # no snapshot holds an overflow
+        final_path = os.path.join(cfg.output_dir, "final.snap")
+        write_snapshot(final_path, outcome.final_state, outcome.t_final, spec)
 
     print(
         f"status={outcome.status.value} t_final={format_float(outcome.t_final)} "
         f"steps={outcome.steps} records={len(outcome.records)} "
         f"mass_drift={outcome.max_mass_drift:.3e}"
     )
-    return SimulationArtifacts(
-        outcome=outcome,
-        diagnostics_path=diag_path,
-        final_snapshot_path=final_path,
-        snapshot_paths=snapshot_paths,
-    )
+    return SimulationArtifacts(outcome, diag_path, final_path, snapshot_paths)
 
 
 SWEEP_HEADER = "alpha,L_min_pde,L_min_reduced,C1,C2"

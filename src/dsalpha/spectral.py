@@ -11,9 +11,9 @@ physical-space Fields.  fft2 and ifft2 are Grid2D's, for callers that hold
 no grid; the models call their grid's own, which on an EvenGrid are
 quarter-grid DCT-Is.  Real fields and their half-plane spectra belong to
 the grid (rfft2, irfft2, real_symbol).  All operators here are diagonal
-in spectral space and therefore commute.  The transforms run on
-grid.FFT_WORKERS threads and the reductions are numpy's, on one thread, so
-results do not depend on the FFT worker or BLAS thread counts.
+in spectral space and therefore commute.  The transforms run on the
+calling thread's scipy.fft worker count and the reductions are numpy's, on
+one thread, so results do not depend on the FFT worker or BLAS thread counts.
 """
 
 import numpy as np

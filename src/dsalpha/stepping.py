@@ -189,6 +189,7 @@ def _record(g, spec, t, dt, values, grad_ref):
     return record, p
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a status, not a warning
 def integrate(
     v0: Field,
     spec: ModelSpec,
@@ -229,9 +230,8 @@ def integrate(
     t = 0.0
     # besides values, the loop may know their potential P (left by a Strang
     # step or a record); it is None from the moment values change without it
-    with np.errstate(over="ignore", invalid="ignore"):
-        m0, amp2 = _mass_and_peak(values, g)
-        record, potential = _record(g, spec, t, control.dt, values, grad_ref)
+    m0, amp2 = _mass_and_peak(values, g)
+    record, potential = _record(g, spec, t, control.dt, values, grad_ref)
     # a nan or inf sample, or |v0|^2 or H past the float range (L_est may be inf)
     if not (np.isfinite(amp2) and np.isfinite(record.hamiltonian)):
         raise ParameterError("v0 must be finite, with |v0|^2 and H in the float range")

@@ -1,12 +1,8 @@
-import os
-
-# transform threading must be pinned before the package reads it; results
-# do not depend on the worker count (tests/test_processes.py).  Two workers
-# are faster on a 2-vCPU host: the 1280^2 dichotomy_pair fixture, which is
-# most of the suite, took 72.9-79.3 s with 2 and 92.7-99.6 s with 1 (3
-# interleaved runs each).  The 1.10 2-worker/1-worker ratio in bench/NOTES.md
-# was measured on the full grid, before stepping moved to DCT-I quarters.
-os.environ.setdefault("DSALPHA_FFT_WORKERS", "2")
+# The tests run on scipy.fft's default of one FFT worker per thread; results
+# do not depend on the count (tests/test_processes.py).  On a 2-vCPU host the
+# suite without the 1280^2 pair took 30.3-31.5 s at one worker and 39.6-39.7 s
+# at two (2 interleaved runs each): its grids are small.  The pair fixture
+# runs its twins in two threads of one worker each (tests/test_acceptance.py).
 
 import numpy as np
 import pytest

@@ -1,7 +1,9 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +118,31 @@ class TestTransforms:
     def test_plancherel(self, grid_small, rng):
         f = complex_field(grid_small, random_complex(rng, grid_small))
         assert abs(l2_norm_values(fft2(f.values), grid_small) - l2_norm(f)) / l2_norm(f) < 1e-12
+
+    def test_worker_count_is_the_calling_threads(self, grid_small, monkeypatch):
+        # scipy.fft.set_workers is thread-local: with 2 in the test thread, a
+        # thread may choose its own for the same grid
+        seen = []
+        for name in ("fft2", "rfft2", "dctn"):
+            def recorded(*args, _inner=getattr(scipy.fft, name), **kwargs):
+                seen.append(kwargs.get("workers", scipy.fft.get_workers()))
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, recorded)
+        g, a = grid_small, np.ones(grid_small.shape)
+
+        def transforms():
+            g.fft2(a), g.rfft2(a), g.even.fft2(g.even.restrict(a))
+
+        def in_thread():
+            with scipy.fft.set_workers(1):
+                transforms()
+
+        with scipy.fft.set_workers(2):
+            transforms()
+            with ThreadPoolExecutor(1) as pool:
+                pool.submit(in_thread).result()
+        assert seen == [2, 2, 2, 1, 1, 1]
 
 
 # random even grids from 8^2 to 32^2, square or not, with random real data

@@ -3,9 +3,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from dsalpha import ConfigError, Grid2D, ModelKind, ModelSpec, RunStatus, complex_field
-from dsalpha.cli import main as cli_main
+from dsalpha.cli import _fft_workers as cli_fft_workers, main as cli_main
 from dsalpha.config import RunConfig, load_config
 from dsalpha.harness import (
     CSV_HEADER,
@@ -267,8 +268,6 @@ class TestCli:
         # amp_max**2 overflowed a float and raised
         ("step.t_end = 0.05", "step.t_end = 0.05\nstep.amp_max = 1e200"),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_huge_amplitudes_exit_zero(self, tmp_path, capsys, old, new):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace(old, new))
@@ -291,6 +290,22 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: v0 must be finite")
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_stop_writes_no_final_snapshot(self, tmp_path, capsys):
+        # the first IFRK4 step overflows: a blow-up with the t = 0 record, no
+        # numpy warning and no final.snap, whose nan and inf samples no run
+        # could read back
+        cfg = tmp_path / "run.cfg"
+        start = "ic.amplitude = 1e70\nstep.stepper = ifrk4\nstep.adaptive = false"
+        cfg.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace("= 64", "= 32")
+                       .replace("= 16", "= 8").replace("ic.amplitude = 1.5", start))
+        assert cli_main(["simulate", str(cfg)]) == 0
+        out = capsys.readouterr()
+        assert "status=blow_up_detected" in out.out and out.err == ""
+        assert not (tmp_path / "out" / "final.snap").exists()
+        recs = read_diagnostics_csv(tmp_path / "out" / "diagnostics.csv")
+        assert [r.t for r in recs] == [0.0] and np.isfinite(recs[0].hamiltonian)
 
     def test_resume_from_non_finite_snapshot_exit_two(self, tmp_path, capsys):
         # a nan sample is a snapshot format error, not a state that blows up
@@ -333,6 +348,26 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.kind = nosuch\nmodel.beta=1\nmodel.rho=1\nmodel.nu=1\n")
         assert cli_main(["simulate", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys, command):
+        # a Latin-1 byte in a config comment, or in a diagnostics row
+        text = {"simulate": CONFIG_TEMPLATE.format(out=tmp_path / "out") + "# caf\xe9\n",
+                "fit": f"{CSV_HEADER}\n0,1e-3,1,0,0,1,1\xff\n"}[command]
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("latin-1"))
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path} is not UTF-8 text")
+
+    def test_fft_workers_unset_or_every_cpu(self, monkeypatch):
+        # unset, a subcommand keeps the calling thread's count; -1 is scipy's
+        # every CPU.  Neither starts a transform
+        monkeypatch.delenv("DSALPHA_FFT_WORKERS", raising=False)
+        with scipy.fft.set_workers(2):
+            assert cli_fft_workers() == 2
+        monkeypatch.setenv("DSALPHA_FFT_WORKERS", "-1")
+        assert cli_fft_workers() == os.cpu_count()
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -95,19 +95,21 @@ def test_module_entry_point_exit_codes(tmp_path):
 
 LINEARIZED = """
 import hashlib, json, sys
+import scipy.fft
 from dsalpha import Grid2D, ModelKind, ModelSpec, solve_ground_state, solve_linearized
 
 g = Grid2D(256, 256, 48.0, 48.0)
-ground = solve_ground_state(g, 1.0, -1.0, 1.0)
 out = {}
-for mode in ("GY", "HZ"):
-    sol = solve_linearized(ground, ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1), mode)
-    out[mode] = {
-        "first": hashlib.sha256(sol.first.values.tobytes()).hexdigest(),
-        "second": hashlib.sha256(sol.second.values.tobytes()).hexdigest(),
-        "inner_with_S": sol.inner_with_S.hex(),
-        "iterations": sol.iterations,
-    }
+with scipy.fft.set_workers(int(sys.argv[1])):
+    ground = solve_ground_state(g, 1.0, -1.0, 1.0)
+    for mode in ("GY", "HZ"):
+        sol = solve_linearized(ground, ModelSpec(ModelKind.RDS3, 1.0, -1.0, 1.0, 0.1), mode)
+        out[mode] = {
+            "first": hashlib.sha256(sol.first.values.tobytes()).hexdigest(),
+            "second": hashlib.sha256(sol.second.values.tobytes()).hexdigest(),
+            "inner_with_S": sol.inner_with_S.hex(),
+            "iterations": sol.iterations,
+        }
 print(json.dumps(out))
 """
 
@@ -116,8 +118,7 @@ def test_linearized_solves_do_not_depend_on_thread_counts():
     # 256^2 / box 48: the quarter (129^2) is long enough for OpenBLAS to split
     # a dot product across threads, so a BLAS reduction would change the bits
     runs = {
-        (blas, fft): run_child(LINEARIZED, OPENBLAS_NUM_THREADS=str(blas),
-                               DSALPHA_FFT_WORKERS=str(fft))
+        (blas, fft): run_child(LINEARIZED, fft, OPENBLAS_NUM_THREADS=str(blas))
         for blas in (1, 2) for fft in (1, 2)
     }
     reference = runs[1, 1]
@@ -127,7 +128,8 @@ def test_linearized_solves_do_not_depend_on_thread_counts():
 
 
 STEPPING = """
-import hashlib, json
+import hashlib, json, sys
+import scipy.fft
 from dsalpha import Grid2D, ModelKind, ModelSpec, StepControl, integrate
 from dsalpha.harness import gaussian_state
 
@@ -140,7 +142,8 @@ for stepper in ("strang", "ifrk4"):
     for name, v0 in starts.items():
         ctrl = StepControl(dt=2e-3, dt_max=2e-3, adaptive=stepper == "strang", t_end=0.04,
                            stepper=stepper)
-        run = integrate(v0, spec, ctrl, record_every=4)
+        with scipy.fft.set_workers(int(sys.argv[1])):
+            run = integrate(v0, spec, ctrl, record_every=4)
         h = hashlib.sha256(run.final_state.values.tobytes())
         for r in run.records:
             h.update(repr(sorted(vars(r).items())).encode())
@@ -152,6 +155,45 @@ print(json.dumps(out))
 def test_stepping_does_not_depend_on_fft_workers():
     # even states step on the quarter grid (DCT-I), off-centre ones on the
     # full grid (complex and real FFTs); both steppers, 1 and 2 workers
-    runs = [run_child(STEPPING, DSALPHA_FFT_WORKERS=str(fft)) for fft in (1, 2)]
+    runs = [run_child(STEPPING, fft) for fft in (1, 2)]
     assert len(runs[0]) == 4 and all(steps == 20 for steps, _ in runs[0].values())
     assert runs[1] == runs[0]
+
+
+# records the worker count of each transform a CLI subcommand makes
+CLI_WORKERS = """
+import json, sys
+import scipy.fft
+import dsalpha.cli
+
+seen = set()
+for name in ("fft2", "ifft2", "rfft2", "irfft2", "dctn"):
+    def recorded(*args, _inner=getattr(scipy.fft, name), **kwargs):
+        seen.add(kwargs.get("workers", scipy.fft.get_workers()))
+        return _inner(*args, **kwargs)
+    setattr(scipy.fft, name, recorded)
+assert dsalpha.cli.main(["simulate", sys.argv[1]]) == 0
+print(json.dumps(sorted(seen)))
+"""
+
+
+def test_cli_reads_fft_workers_from_the_environment(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN.format(out=tmp_path / "out"))
+    assert run_child(CLI_WORKERS, cfg, DSALPHA_FFT_WORKERS="2") == [2]
+
+
+def test_bad_fft_workers_exit_two(tmp_path):
+    # import never reads the variable; the CLI rejects a value before any work.
+    # Large values are not tried: they would start that many threads
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN.format(out=tmp_path / "out"))
+    for value in ("abc", "1.5", "0"):
+        assert run_python("-c", "import dsalpha", DSALPHA_FFT_WORKERS=value).returncode == 0
+        done = run_python("-m", "dsalpha", "simulate", cfg, DSALPHA_FFT_WORKERS=value)
+        assert done.returncode == 2, value
+        assert done.stderr.splitlines() == [
+            f"error: DSALPHA_FFT_WORKERS must be a nonzero integer, at least -{os.cpu_count()} "
+            f"(-1: every CPU), got {value!r}"
+        ]
+        assert not (tmp_path / "out").exists()
