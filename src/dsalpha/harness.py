@@ -7,6 +7,7 @@ Scientific outcomes (including blow-up) are successes: they are reported in
 the status field, never through the exit code.
 """
 
+import contextlib
 import os
 from dataclasses import dataclass, replace
 from typing import List, Optional
@@ -185,10 +186,13 @@ def run_simulation(
 
     diag_path = os.path.join(cfg.output_dir, "diagnostics.csv")
     write_diagnostics_csv(diag_path, outcome.records)
-    final_path = None
+    final_path = os.path.join(cfg.output_dir, "final.snap")
     if np.isfinite(outcome.final_state.values).all():  # no snapshot holds an overflow
-        final_path = os.path.join(cfg.output_dir, "final.snap")
         write_snapshot(final_path, outcome.final_state, outcome.t_final, spec)
+    else:  # nor may an earlier run's final state stand in for this run's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(final_path)
+        final_path = None
 
     print(
         f"status={outcome.status.value} t_final={format_float(outcome.t_final)} "

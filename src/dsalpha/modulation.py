@@ -34,8 +34,9 @@ modulation inequality,
     L_tt = (C2 alpha^2 / C1) L^{-5} - (C3 / C1) L^{-3},
 
 which conserves Q = L_t^2 + (C2 alpha^2 / (2 C1)) L^{-4} - (C3/C1) L^{-2}
-and therefore keeps L away from zero for alpha > 0.  Its integrator,
-solve_ivp, is imported on first use: the package imports only scipy.fft.
+and therefore keeps L away from zero for alpha > 0.  Its integrator is the
+package's own Dormand-Prince 5(4) pair with Shampine's continuous extension
+(integrate_reduced), so every command loads numpy and scipy.fft only.
 """
 
 import math
@@ -310,6 +311,41 @@ def reduced_first_integral(constants: ModulationConstants, alpha: float, L: floa
     return L_t**2 + c2a / L**4 - (constants.C3 / constants.C1) / L**2
 
 
+# Shampine's (Math. Comp. 46, 1986) 4th-order continuous extension of a
+# Dormand-Prince step: per stage 1, 3, 4, 5, 6, 7 (stage 2's row is zero),
+# the coefficients of x, x^2, x^3, x^4 in its weight at t + x h.
+_SHAMPINE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _dense(x, h, y, k):
+    """One component at t + x h on the continuous extension of the step of
+    size h from y at t, with k its stage-1, 3, ..., 7 derivatives."""
+    return y + h * sum(x * (p1 + x * (p2 + x * (p3 + x * p4))) * kj
+                       for (p1, p2, p3, p4), kj in zip(_SHAMPINE, k))
+
+
+def _crossing(level, hi, h, y, k):
+    """A point within 2^-50 after a crossing of level by _dense(x, h, y, k)
+    on [0, hi], where y is not level and _dense(hi, ...) is on its other side
+    (bisection)."""
+    lo, below = 0.0, y < level
+    while hi - lo > 2.0**-50:
+        mid = 0.5 * (lo + hi)
+        if (_dense(mid, h, y, k) < level) == below:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def integrate_reduced(
     constants: ModulationConstants,
     alpha: float,
@@ -325,72 +361,124 @@ def integrate_reduced(
     (refined at the turning points where L_t = 0).  Conservation of the
     first integral Q is tracked relative to the largest of its terms at
     each sample (near collapse the terms grow like L^-2 and cancel, so a
-    fixed scale would only measure f64 cancellation noise).  t_eval
-    requests samples at given times instead of the solver's own steps.
+    fixed scale would only measure f64 cancellation noise).  The samples
+    are the integrator's accepted steps, thinned to MAX_SAMPLES, or the
+    increasing times t_eval in [0, t_end] read off the continuous extension.
+
+    The integrator is the Dormand & Prince (J. Comput. Appl. Math. 6, 1980)
+    5(4) pair, stages unrolled on the scalars (L, L_t, tau), with rtol 1e-12
+    and the 5th-order solution carried; collapse (the downward crossing of
+    1e-6 L0, terminal) and turning points are located on Shampine's
+    continuous extension by bisection.
     """
     if L0 <= 0 or t_end <= 0:
         raise ParameterError(f"L0 and t_end must be positive, got {L0}, {t_end}")
-    from scipy.integrate import solve_ivp
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if not (t_eval.ndim == 1 and t_eval.size and 0.0 <= t_eval[0] and t_eval[-1] <= t_end
+                and np.all(np.diff(t_eval) > 0)):
+            raise ParameterError(f"t_eval must be a nonempty increasing sequence in [0, {t_end}]")
 
     c1, c2, c3 = constants.C1, constants.C2, constants.C3
-    k5 = c2 * alpha**2 / c1
-    k3 = c3 / c1
-    floor = 1e-6 * L0
+    # Python floats: numpy scalars would make each step's arithmetic ~10x slower
+    k5, k3 = float(c2 * alpha**2 / c1), float(c3 / c1)
+    t, L, V, T = 0.0, float(L0), float(Lt0), 0.0
+    floor = 1e-6 * L
 
-    def rhs(t, y):
-        L, Lt, _ = y
-        return (Lt, k5 / L**5 - k3 / L**3, 1.0 / L**2)
+    def rates(L):
+        """(L_tt, tau_t) at scale L."""
+        r = 1.0 / L
+        r2 = r * r
+        return (k5 * r2 - k3) * r2 * r, r2
 
-    def collapse_event(t, y):
-        return y[0] - floor
-
-    collapse_event.terminal = True
-    collapse_event.direction = -1
-
-    def turning_event(t, y):
-        return y[1]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        (L0, Lt0, 0.0),
-        method="DOP853",
-        rtol=1e-12,
-        atol=(1e-14 * L0, 1e-14 * max(abs(Lt0), 1.0), 1e-14),
-        events=(collapse_event, turning_event),
-        t_eval=t_eval,
-    )
-    if sol.status < 0:
-        raise ConvergenceError(f"reduced ODE integration failed: {sol.message}")
-
-    ts, ys = sol.t, sol.y
-    if np.any(ys[0] <= 0):
-        raise ConvergenceError("reduced ODE reached L <= 0 (step-size failure)")
+    rtol, atol_l, atol_v, atol_t = 1e-12, 1e-14 * L, 1e-14 * max(abs(V), 1.0), 1e-14
+    a1, s1 = rates(L)
+    # first step: 1% of the state's size over its rate's, both relative to the
+    # tolerances (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+    sl, sv = atol_l + rtol * L, atol_v + rtol * abs(V)
+    d0, d1 = math.hypot(L / sl, V / sv), math.hypot(V / sl, a1 / sv, s1 / atol_t)
+    h = min(t_end, 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6)
+    samples = [(t, L, V, T)] if t_eval is None else []
+    pending = iter(() if t_eval is None else t_eval.tolist())
+    next_eval = next(pending, math.inf)
+    l_min, collapsed, rejected = L, False, False
+    while t < t_end and not collapsed:
+        if h < 10.0 * (math.nextafter(t, math.inf) - t):
+            raise ConvergenceError(f"reduced ODE integration failed: step size underflow at t={t}")
+        t_new = t + h
+        if t_new >= t_end:
+            t_new, h = t_end, t_end - t
+        V2, (a2, _) = V + h * (1/5 * a1), rates(L + h * (1/5 * V))
+        V3, (a3, s3) = (V + h * (3/40 * a1 + 9/40 * a2),
+                        rates(L + h * (3/40 * V + 9/40 * V2)))
+        V4, (a4, s4) = (V + h * (44/45 * a1 - 56/15 * a2 + 32/9 * a3),
+                        rates(L + h * (44/45 * V - 56/15 * V2 + 32/9 * V3)))
+        V5, (a5, s5) = (V + h * (19372/6561 * a1 - 25360/2187 * a2 + 64448/6561 * a3
+                                 - 212/729 * a4),
+                        rates(L + h * (19372/6561 * V - 25360/2187 * V2 + 64448/6561 * V3
+                                       - 212/729 * V4)))
+        V6, (a6, s6) = (V + h * (9017/3168 * a1 - 355/33 * a2 + 46732/5247 * a3 + 49/176 * a4
+                                 - 5103/18656 * a5),
+                        rates(L + h * (9017/3168 * V - 355/33 * V2 + 46732/5247 * V3
+                                       + 49/176 * V4 - 5103/18656 * V5)))
+        Ln = L + h * (35/384 * V + 500/1113 * V3 + 125/192 * V4 - 2187/6784 * V5 + 11/84 * V6)
+        Vn = V + h * (35/384 * a1 + 500/1113 * a3 + 125/192 * a4 - 2187/6784 * a5 + 11/84 * a6)
+        Tn = T + h * (35/384 * s1 + 500/1113 * s3 + 125/192 * s4 - 2187/6784 * s5 + 11/84 * s6)
+        a7, s7 = rates(Ln)
+        # the 5th-order solution minus the embedded 4th-order one, in rms units of the tolerance
+        err = math.hypot(
+            h * (-71/57600 * V + 71/16695 * V3 - 71/1920 * V4 + 17253/339200 * V5
+                 - 22/525 * V6 + 1/40 * Vn) / (atol_l + rtol * max(abs(L), abs(Ln))),
+            h * (-71/57600 * a1 + 71/16695 * a3 - 71/1920 * a4 + 17253/339200 * a5
+                 - 22/525 * a6 + 1/40 * a7) / (atol_v + rtol * max(abs(V), abs(Vn))),
+            h * (-71/57600 * s1 + 71/16695 * s3 - 71/1920 * s4 + 17253/339200 * s5
+                 - 22/525 * s6 + 1/40 * s7) / (atol_t + rtol * max(abs(T), abs(Tn))),
+        ) / math.sqrt(3.0)
+        if not err < 1.0:  # rejected, nan included
+            h *= max(0.2, 0.9 * err**-0.2)
+            rejected = True
+            continue
+        if Ln <= floor or V * Vn < 0.0 or next_eval <= t_new:
+            # per component, the step's start and stage derivatives for _dense
+            ys = ((L, (V, V3, V4, V5, V6, Vn)), (V, (a1, a3, a4, a5, a6, a7)),
+                  (T, (s1, s3, s4, s5, s6, s7)))
+            x_end = 1.0
+            if Ln <= floor:
+                x_end = _crossing(floor, 1.0, h, *ys[0])
+                t_new, (Ln, Vn, Tn), collapsed = (t + x_end * h,
+                                                  [_dense(x_end, h, *y) for y in ys], True)
+            if V * Vn < 0.0:
+                l_min = min(l_min, _dense(_crossing(0.0, x_end, h, *ys[1]), h, *ys[0]))
+            while next_eval <= t_new:
+                samples.append((next_eval, *(_dense((next_eval - t) / h, h, *y) for y in ys)))
+                next_eval = next(pending, math.inf)
+        if Ln <= 0:
+            raise ConvergenceError("reduced ODE reached L <= 0 (step-size failure)")
+        l_min = min(l_min, Ln)
+        if t_eval is None:
+            samples.append((t_new, Ln, Vn, Tn))
+        factor = min(10.0, 0.9 * err**-0.2) if err > 0 else 10.0
+        h *= min(1.0, factor) if rejected else factor
+        t, L, V, T, a1, s1, rejected = t_new, Ln, Vn, Tn, a7, s7, False
 
     # thin to at most MAX_SAMPLES, always keeping the endpoints
-    idx = np.arange(len(ts))
-    if t_eval is None and len(ts) > MAX_SAMPLES:
-        idx = np.unique(np.linspace(0, len(ts) - 1, MAX_SAMPLES).astype(int))
+    idx = range(len(samples))
+    if t_eval is None and len(samples) > MAX_SAMPLES:
+        idx = np.unique(np.linspace(0, len(samples) - 1, MAX_SAMPLES).astype(int))
 
     q0 = reduced_first_integral(constants, alpha, L0, Lt0)
     states = []
     q_drift = 0.0
     for i in idx:
-        L, Lt, tau = ys[0][i], ys[1][i], ys[2][i]
+        ts, L, Lt, tau = samples[i]
         eps = (alpha / L) ** 2
         states.append(
-            ReducedState(t=ts[i], L=L, L_t=Lt, tau=tau, b=(c3 - c2 * eps) / c1, eps=eps)
+            ReducedState(t=ts, L=L, L_t=Lt, tau=tau, b=(c3 - c2 * eps) / c1, eps=eps)
         )
         qscale = max(abs(q0), Lt**2, abs(k5) / L**4, abs(k3) / L**2, 1e-300)
         q_drift = max(
             q_drift, abs(reduced_first_integral(constants, alpha, L, Lt) - q0) / qscale
         )
-
-    l_min = float(np.min(ys[0]))
-    turn = sol.y_events[1]
-    if len(turn):
-        l_min = min(l_min, float(np.min(turn[:, 0])))
-    collapsed = len(sol.t_events[0]) > 0
     return ReducedTrajectory(states=states, l_min=l_min, collapsed=collapsed, q_drift=q_drift)
 
 

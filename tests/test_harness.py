@@ -307,6 +307,25 @@ class TestCli:
         recs = read_diagnostics_csv(tmp_path / "out" / "diagnostics.csv")
         assert [r.t for r in recs] == [0.0] and np.isfinite(recs[0].hamiltonian)
 
+    def test_overflow_stop_removes_an_earlier_final_snapshot(self, tmp_path, capsys):
+        # a healthy run, then an overflowing one into the same output.dir: the
+        # first run's final.snap must not be left to resume from; its other
+        # snapshots stay
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        text = (CONFIG_TEMPLATE.format(out=out).replace("= 64", "= 32").replace("= 16", "= 8")
+                .replace("step.t_end = 0.05", "step.t_end = 0.01\nstep.stepper = ifrk4\n"
+                         "step.adaptive = false\noutput.snapshot_every = 5"))
+        cfg.write_text(text)
+        assert cli_main(["simulate", str(cfg)]) == 0
+        snapshots = sorted(p.name for p in out.glob("snapshot_*.snap"))
+        assert (out / "final.snap").exists() and snapshots
+        cfg.write_text(text.replace("ic.amplitude = 1.5", "ic.amplitude = 1e70"))
+        assert cli_main(["simulate", str(cfg)]) == 0
+        assert "status=blow_up_detected" in capsys.readouterr().out
+        assert not (out / "final.snap").exists()
+        assert sorted(p.name for p in out.glob("snapshot_*.snap")) == snapshots
+        assert cli_main(["simulate", str(cfg), "--resume", str(out / "final.snap")]) == 1
+
     def test_resume_from_non_finite_snapshot_exit_two(self, tmp_path, capsys):
         # a nan sample is a snapshot format error, not a state that blows up
         # in its first step

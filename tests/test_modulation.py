@@ -310,15 +310,30 @@ class TestQuarterGridSolve:
 class TestIntegrateReduced:
     CONSTANTS = ModulationConstants(C1=1.0, C2=2.0, C3=1.0, C4=0.0, S_mass=11.7)
 
-    def test_exact_collapse_solution(self):
-        # alpha=0, C1=C3=1, L0=1, Lt0=-1: L(t) = sqrt(1-2t), t* = 1/2
-        traj = integrate_reduced(self.CONSTANTS, 0.0, 1.0, -1.0, 10.0)
+    @pytest.mark.parametrize("L0, Lt0, t_star, tau_exact", [
+        # u = 1 - 2t: a fall from the start, t* = 1/2
+        (1.0, -1.0, 0.5, lambda t: -0.5 * np.log1p(-2.0 * t)),
+        # u = (21/16)(16/15 - t)(t + 16/35): a rise to the turning point at
+        # t = 32/105, then the fall to t* = 16/15
+        (0.8, 0.5, 16 / 15,
+         lambda t: 0.5 * np.log((16 / 15) * (t + 16 / 35) / ((16 / 15 - t) * (16 / 35)))),
+    ])
+    def test_exact_collapse_solution(self, L0, Lt0, t_star, tau_exact):
+        # alpha=0, C1=C3=1: u = L^2 solves u_tt = 2Q, so u = L0^2 + 2 L0 Lt0 t
+        # + Q t^2 with Q = Lt0^2 - 1/L0^2, and tau = int_0^t ds/u(s)
+        traj = integrate_reduced(self.CONSTANTS, 0.0, L0, Lt0, 10.0)
         assert traj.collapsed
         t, L = traj.t, traj.L
-        exact = np.sqrt(np.maximum(1.0 - 2.0 * t, 0.0))
+        tau = np.array([s.tau for s in traj.states])
+        u = L0**2 + 2.0 * L0 * Lt0 * t + (Lt0**2 - L0**-2) * t**2
         mask = L > 1e-3
-        assert np.max(np.abs(L[mask] - exact[mask])) < 1e-8
-        assert traj.t[-1] == pytest.approx(0.5, abs=1e-9)
+        assert np.max(np.abs(L[mask] - np.sqrt(u[mask]))) < 1e-8
+        # tau's error is L's relative error, which grows like 1/L near t*
+        mask = L > 1e-2
+        assert np.max(np.abs(tau[mask] - tau_exact(t[mask]))) < 1e-8
+        assert traj.t[-1] == pytest.approx(t_star, abs=1e-9)
+        # the trajectory ends at the located crossing of 1e-6 L0
+        assert traj.l_min == traj.L[-1] <= 1e-6 * L0
 
     def test_alpha_bounce_l_min(self):
         # worked example: L_min = 0.1000 within 1e-4; the sharp value is the
@@ -375,22 +390,30 @@ class TestIntegrateReduced:
             integrate_reduced(self.CONSTANTS, 0.1, -1.0, -1.0, 1.0)
 
     def test_long_run_thinned_to_max_samples(self, monkeypatch):
-        # a bounded oscillation over 100 time units takes about 5200 solver
-        # steps; at most MAX_SAMPLES of them are kept, both endpoints among them
-        import scipy.integrate
-
-        solved, solve_ivp = [], scipy.integrate.solve_ivp
-
-        def recorded(*args, **kwargs):
-            solved.append(solve_ivp(*args, **kwargs))
-            return solved[-1]
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded)
+        # a bounded oscillation over 100 time units takes about 33000
+        # accepted steps; at most MAX_SAMPLES of them are kept, both
+        # endpoints among them
         traj = integrate_reduced(self.CONSTANTS, 0.1, 1.0, -0.5, 100.0)
-        steps = solved[0].t
+        with monkeypatch.context() as m:
+            m.setattr(modulation, "MAX_SAMPLES", 10**9)  # every accepted step
+            steps = integrate_reduced(self.CONSTANTS, 0.1, 1.0, -0.5, 100.0).t
         assert len(steps) > modulation.MAX_SAMPLES == len(traj.states) == 4000
         assert traj.t[0] == 0.0 and traj.t[-1] == steps[-1] == 100.0
         assert np.all(np.diff(traj.t) > 0) and set(traj.t) <= set(steps)
+
+    @pytest.mark.parametrize("t_eval", [[-0.1, 1.0], [0.0, 2.5], [0.5, 0.5], [1.0, 0.5],
+                                        [0.5, np.nan], [], [[0.5]]])
+    def test_bad_t_eval_rejected(self, t_eval):
+        # outside [0, t_end], not increasing, empty or not one-dimensional
+        with pytest.raises(ParameterError, match="t_eval"):
+            integrate_reduced(self.CONSTANTS, 0.1, 1.0, -1.0, 2.0, t_eval=t_eval)
+
+    def test_t_eval_stops_at_collapse(self):
+        # samples come from the continuous extension, up to the collapse at t* = 1/2
+        traj = integrate_reduced(self.CONSTANTS, 0.0, 1.0, -1.0, 1.0,
+                                 t_eval=[0.0, 0.25, 0.5, 0.75])
+        assert traj.collapsed and list(traj.t) == [0.0, 0.25]
+        assert traj.L[1] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_nonpositive_horizon_rejected(self, t_end):

@@ -12,8 +12,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# scipy subpackages that simulate, ground-state and a collapse fit never use
-UNUSED_BY_RUNS = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+# scipy subpackages that no subcommand uses: everything but scipy.fft and the
+# scipy.special it imports
+UNUSED_BY_RUNS = ("scipy.constants", "scipy.integrate", "scipy.linalg", "scipy.optimize",
+                  "scipy.sparse", "scipy.spatial")
 
 
 def run_python(*args, **env):
@@ -45,6 +47,8 @@ collapse_fit([DiagnosticsRecord(t=t, dt=1e-3, mass=1.0, hamiltonian=0.0, grad_no
 for command in ("simulate", "ground-state"):
     assert dsalpha.cli.main([command, sys.argv[1]]) == 0
 before = loaded()
+for argv in (["modulation", sys.argv[1]], ["sweep", sys.argv[1], "--alphas=0.1,0.2"]):
+    assert dsalpha.cli.main(argv) == 0
 c = ModulationConstants(C1=1.0, C2=2.0, C3=1.0, C4=0.0, S_mass=11.7)
 traj = integrate_reduced(c, 0.1, 1.0, -1.0, 2.0)
 print(json.dumps({"before": before, "after": loaded(), "l_min": traj.l_min,
@@ -75,8 +79,8 @@ def test_runs_and_fit_load_only_scipy_fft(tmp_path):
     cfg.write_text(TINY_RUN.format(out=tmp_path / "out"))
     got = run_child(IMPORT_CONTRACT, cfg, ",".join(UNUSED_BY_RUNS))
     assert got["before"] == []
-    # the reduced ODE imports its integrator on first use, and still works
-    assert "scipy.integrate" in got["after"]
+    # modulation, sweep and the reduced ODE on its own import nothing more
+    assert got["after"] == []
     assert 0.0 < got["l_min"] < 1.0 and got["q_drift"] < 1e-8
 
 
